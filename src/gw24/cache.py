@@ -79,8 +79,7 @@ def save_store(store: InvariantStore, path: str, seed_set: SeedSet,
         raise
 
 
-def load_store(path: str, seed_set: SeedSet,
-               verify_sample: bool = True) -> InvariantStore:
+def load_store(path: str, seed_set: SeedSet) -> InvariantStore:
     with open(path, "r") as handle:
         raw = handle.read()
     lines = raw.splitlines()
@@ -129,8 +128,7 @@ def load_store(path: str, seed_set: SeedSet,
     except Exception as exc:
         raise CacheError(f"cache rows do not form a valid store: {exc}") from exc
 
-    if verify_sample:
-        _verify_sample(store)
+    _verify_sample(store)
     return store
 
 
@@ -160,13 +158,11 @@ def _verify_sample(store: InvariantStore) -> None:
                     if hit is None:
                         continue
                     eq = build_equation(fam, hit, degree, psi)
-                    residual = eq.constant + sum(
-                        c * raw[k[:4]] for k, c in eq.terms
-                    )
-                    if residual != 0:
+                    if eq.residual(lambda k: raw[k[:4]]) != 0:
                         raise CacheError(
                             f"sample verification failed at degree {degree}, "
-                            f"quadruple {eq.quadruple}, monomial {hit}"
+                            f"row {key}, quadruple {eq.quadruple}, "
+                            f"monomial {hit}"
                         )
                     checked += 1
                     break

@@ -43,15 +43,6 @@ class Basis(IntEnum):
 CODIM = (0, 1, 2, 2, 3, 4)
 LABELS = ("T0", "T1", "Ta", "Tb", "T3", "T4")
 
-DESCRIPTIONS = {
-    Basis.T0: "fundamental class",
-    Basis.T1: "lines meeting a given line",
-    Basis.TA: "lines containing a given point",
-    Basis.TB: "lines contained in a given plane",
-    Basis.T3: "lines through a given point inside a given plane",
-    Basis.T4: "a single fixed line",
-}
-
 # Nonzero entries of the intersection form g_ij = integral of T_i cup T_j.
 # The matrix is symmetric and equals its own inverse on this basis.
 _PAIRING_NONZERO = {

@@ -3,9 +3,12 @@
 Degrees are solved strictly in ascending order: the degree-d linear system
 produced by the associativity relations has constants built from all lower
 degrees.  Within a degree the solver runs unit propagation over a
-deterministic equation stream and falls back to exact Gaussian elimination
-over the rationals for whatever propagation leaves behind.  Solved values
-are committed once, as nonnegative integers, and never change.
+deterministic equation stream, in exact integers: every unit relation
+c * N + k = 0 must force a nonnegative integer N, or the relation that
+forced it is reported as violated.  The system is heavily over-determined,
+so propagation alone pins every value; keys it leaves open are reported as
+an underdetermined system.  Solved values are committed once and never
+change.
 
 Equation generation is pure given a read-only snapshot of the lower
 degrees, so verification work can be split across processes; solving and
@@ -14,9 +17,9 @@ commits happen on a single writer at each degree boundary.
 
 from __future__ import annotations
 
+import threading
 from collections import deque
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterator, NamedTuple
 
 from .keys import (
@@ -79,14 +82,15 @@ class InvariantStore:
         self._canonical: dict[int, dict[Tuple4, int]] = {}
         self._raw: dict[int, dict[Tuple4, int]] = {}
         self._nonzero: dict[int, list[tuple[Tuple4, int]]] = {}
-        self.status: dict[int, str] = {}
 
     @property
     def max_degree(self) -> int:
-        return max(self._canonical, default=0)
+        # Degrees commit contiguously from 1, and ``_canonical`` gains its
+        # entry last, so this read needs no lock.
+        return len(self._canonical)
 
     def degrees(self) -> list[int]:
-        return sorted(self._canonical)
+        return list(range(1, self.max_degree + 1))
 
     def commit_degree(self, degree: int, values: dict[Tuple4, int]) -> None:
         if degree != self.max_degree + 1:
@@ -108,17 +112,9 @@ class InvariantStore:
         for (a, b, g, e), v in canonical.items():
             raw[(a, b, g, e)] = v
             raw[(b, a, g, e)] = v
-        self._canonical[degree] = canonical
         self._raw[degree] = raw
         self._nonzero[degree] = [(t, v) for t, v in sorted(raw.items()) if v]
-        self.status[degree] = "solved"
-
-    def mark_verified(self, degree: int) -> None:
-        if degree in self.status:
-            self.status[degree] = "verified"
-
-    def status_of(self, degree: int) -> str:
-        return self.status.get(degree, "unsolved")
+        self._canonical[degree] = canonical
 
     def canonical_table(self, degree: int) -> dict[Tuple4, int]:
         self._require(degree)
@@ -198,6 +194,9 @@ class Engine:
         self.seed_set = seed_set if seed_set is not None else seed_invariants()
         self.store = InvariantStore()
         self.equations_used: dict[int, int] = {}
+        # Serializes the lazy solve: concurrent queries may both find a
+        # degree missing, but only one may solve and commit it.
+        self._solve_lock = threading.Lock()
 
     # -- solving ---------------------------------------------------------
 
@@ -209,23 +208,25 @@ class Engine:
         """Solve one degree and commit it.  Lower degrees must be solved."""
         if degree < 1:
             raise ValueError("degree must be >= 1")
-        if degree <= self.store.max_degree:
+        with self._solve_lock:
+            if degree <= self.store.max_degree:
+                return self.store.canonical_table(degree)
+            if degree != self.store.max_degree + 1:
+                raise MissingValueError(
+                    f"solve_degree({degree}) needs degree "
+                    f"{self.store.max_degree + 1} first (e.g. key "
+                    f"{canonical_tuples(self.store.max_degree + 1)[0]})"
+                )
+            values = self._solve_degree_values(degree)
+            self.store.commit_degree(degree, values)
             return self.store.canonical_table(degree)
-        if degree != self.store.max_degree + 1:
-            raise MissingValueError(
-                f"solve_degree({degree}) needs degree {self.store.max_degree + 1} "
-                f"first (e.g. key {canonical_tuples(self.store.max_degree + 1)[0]})"
-            )
-        values = self._solve_degree_values(degree)
-        self.store.commit_degree(degree, values)
-        return self.store.canonical_table(degree)
 
     def _solve_degree_values(self, degree: int) -> dict[Tuple4, int]:
         unknowns = set(canonical_tuples(degree))
-        assigned: dict[Tuple4, Fraction | int] = {}
+        assigned: dict[Tuple4, int] = {}
         queue: deque[Tuple4] = deque()
 
-        def put(t: Tuple4, value, src) -> None:
+        def put(t: Tuple4, value: int, src) -> None:
             if t in assigned:
                 if assigned[t] != value:
                     raise InconsistencyError(
@@ -235,6 +236,17 @@ class Engine:
                 return
             assigned[t] = value
             queue.append(t)
+
+        def put_unit(t: Tuple4, coeff: int, const: int, src) -> None:
+            """Assign t from the unit relation coeff * N(t) + const = 0."""
+            value, rem = divmod(-const, coeff)
+            if rem or value < 0:
+                shown = f"{-const}/{coeff}" if rem else value
+                raise InconsistencyError(
+                    degree, src[0], src[1],
+                    f"key {t} forced to {shown}, not a nonnegative integer",
+                )
+            put(t, value, src)
 
         if degree == 1:
             for t, v in _seed_assignments(self.seed_set).items():
@@ -260,7 +272,7 @@ class Engine:
                     if len(eq[0]) == 1:
                         ((u, cu),) = eq[0].items()
                         pending[eid] = None
-                        put(u, Fraction(-eq[1], cu), eq[2])
+                        put_unit(u, cu, eq[1], eq[2])
                     elif not eq[0]:
                         pending[eid] = None
                         if eq[1] != 0:
@@ -297,7 +309,7 @@ class Engine:
             eq = build_equation(families[fam_idx], target, degree, psi)
             assembled += 1
             terms: dict[Tuple4, int] = {}
-            const: Fraction | int = eq.constant
+            const = eq.constant
             for key, coeff in eq.terms:
                 t = key[:4]
                 if t in assigned:
@@ -310,7 +322,7 @@ class Engine:
                     raise InconsistencyError(degree, *src)
             elif len(terms) == 1:
                 ((u, cu),) = terms.items()
-                put(u, Fraction(-const, cu), src)
+                put_unit(u, cu, const, src)
                 drain()
             else:
                 eid = len(pending)
@@ -318,90 +330,19 @@ class Engine:
                 for u in terms:
                     index.setdefault(u, set()).add(eid)
 
-        if len(assigned) < len(unknowns):
-            self._eliminate(degree, pending, assigned, put)
-            drain()
-
         missing = unknowns - assigned.keys()
         if missing:
             raise UnderdeterminedSystemError(degree, missing)
 
-        leftovers = [eq for eq in pending if eq is not None]
-        for eq in leftovers:
+        for eq in pending:
+            if eq is None:
+                continue
             residual = eq[1] + sum(c * assigned[t] for t, c in eq[0].items())
             if residual != 0:
                 raise InconsistencyError(degree, *eq[2])
 
-        out: dict[Tuple4, int] = {}
-        for t, v in assigned.items():
-            f = Fraction(v)
-            if f.denominator != 1 or f < 0:
-                raise InconsistencyError(
-                    degree, ("solution",), t,
-                    f"value {v} is not a nonnegative integer",
-                )
-            out[t] = int(f)
         self.equations_used[degree] = assembled
-        return out
-
-    def _eliminate(self, degree: int, pending, assigned, put) -> None:
-        """Exact Gaussian elimination on the parked residual system."""
-        rows = []
-        for eq in pending:
-            if eq is None:
-                continue
-            terms = {
-                t: Fraction(c) for t, c in eq[0].items() if t not in assigned
-            }
-            const = Fraction(eq[1]) + sum(
-                c * assigned[t] for t, c in eq[0].items() if t in assigned
-            )
-            if terms:
-                rows.append([terms, const, eq[2]])
-            elif const != 0:
-                raise InconsistencyError(degree, *eq[2])
-        # Deterministic pivoting: unknowns in (delta, gamma, beta, alpha)
-        # lexicographic order, rows in generation order.
-        columns = sorted(
-            {t for row in rows for t in row[0]},
-            key=lambda t: (t[3], t[2], t[1], t[0]),
-        )
-        pivots: list[tuple[Tuple4, list]] = []
-        for col in columns:
-            pivot_row = None
-            for row in rows:
-                if col in row[0]:
-                    pivot_row = row
-                    break
-            if pivot_row is None:
-                continue
-            rows.remove(pivot_row)
-            pc = pivot_row[0][col]
-            for row in rows:
-                factor = row[0].get(col)
-                if factor is None:
-                    continue
-                scale = factor / pc
-                for u, c in pivot_row[0].items():
-                    nv = row[0].get(u, 0) - scale * c
-                    if nv:
-                        row[0][u] = nv
-                    else:
-                        row[0].pop(u, None)
-                row[1] -= scale * pivot_row[1]
-                if not row[0] and row[1] != 0:
-                    raise InconsistencyError(degree, *row[2])
-            pivots.append((col, pivot_row))
-        for col, row in reversed(pivots):
-            if any(u != col and u not in assigned for u in row[0]):
-                # depends on a free unknown; the degree stays
-                # underdetermined and the caller reports it
-                continue
-            total = row[1]
-            for u, c in row[0].items():
-                if u != col:
-                    total += c * assigned[u]
-            put(col, -total / row[0][col], row[2])
+        return assigned
 
     # -- queries ---------------------------------------------------------
 
@@ -470,13 +411,9 @@ class Engine:
         self, max_degree: int, exhaustive: bool = True, workers: int = 1
     ) -> WdvvReport:
         self.solve_up_to(max_degree)
-        report = verify_store(
+        return verify_store(
             self.store, max_degree, exhaustive=exhaustive, workers=workers
         )
-        if report.ok:
-            for d in range(1, max_degree + 1):
-                self.store.mark_verified(d)
-        return report
 
 
 def _conv_jobs(max_degree: int):

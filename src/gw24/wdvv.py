@@ -180,10 +180,6 @@ class WdvvEquation:
         """lookup(key) -> value; returns the (should-be-zero) evaluation."""
         return sum(c * lookup(k) for k, c in self.terms) + self.constant
 
-    def monomial_label(self) -> str:
-        a, b, g, e = self.target
-        return f"ya^{a} yb^{b} y3^{g} y4^{e} q^{self.degree}"
-
 
 class PsiCalculator:
     """Quantum-times-quantum constants from already-solved degrees.

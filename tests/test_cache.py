@@ -62,7 +62,11 @@ def test_wrong_values_with_fixed_digest_rejected(engine3, tmp_path):
         store.commit_degree(d, tables[d])
     path = tmp_path / "forged.gw24"
     save_store(store, str(path), engine3.seed_set, __version__)
-    with pytest.raises(CacheError, match="sample verification"):
+    with pytest.raises(
+        CacheError,
+        match=r"sample verification failed at degree 3, "
+              r"row \(\d+, \d+, \d+, \d+\), quadruple \(",
+    ):
         load_store(str(path), engine3.seed_set)
 
 

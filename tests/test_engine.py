@@ -1,16 +1,25 @@
 import random
+import threading
 
 import pytest
 
 from gw24.engine import (
     Engine,
+    InconsistencyError,
     InvariantStore,
     MissingValueError,
     UnderdeterminedSystemError,
     verify_store,
 )
-from gw24.keys import InvariantKey, SeedSet, canonical_tuples, valid_tuples
+from gw24.keys import (
+    InvariantKey,
+    SeedSet,
+    canonical_tuples,
+    tuples_of_weight,
+    valid_tuples,
+)
 from gw24.schubert import seed_invariants
+from gw24.wdvv import PsiCalculator, build_equation, equation_families
 
 
 @pytest.fixture(scope="module")
@@ -141,8 +150,8 @@ def test_store_rejects_negative_or_fractional():
 
 
 def test_seed_redundancy_each_seed_removable():
-    # dropping any single seed entry either re-derives the same table via
-    # the relations or fails loudly; it never silently changes values
+    # unit propagation alone re-derives the full degree-1 table with any
+    # single seed entry dropped
     reference = Engine()
     reference.solve_degree(1)
     expected = reference.store.canonical_table(1)
@@ -150,17 +159,60 @@ def test_seed_redundancy_each_seed_removable():
     for removed in sorted(full.entries):
         entries = {k: v for k, v in full.entries.items() if k != removed}
         eng = Engine(seed_set=SeedSet(entries=entries, provenance_note="test"))
-        try:
-            eng.solve_degree(1)
-        except UnderdeterminedSystemError:
-            continue
+        eng.solve_degree(1)
         assert eng.store.canonical_table(1) == expected, removed
 
 
 def test_no_seeds_fails_loudly():
     eng = Engine(seed_set=SeedSet(entries={}, provenance_note="empty"))
-    with pytest.raises(UnderdeterminedSystemError):
+    with pytest.raises(UnderdeterminedSystemError) as info:
         eng.solve_degree(1)
+    assert len(info.value.unsolved) == 8
+
+
+def test_concurrent_lazy_solve():
+    # two threads racing to solve the same missing degrees on one engine
+    eng = Engine()
+    results, errors = [], []
+
+    def query():
+        try:
+            results.append(eng.q_number(6))
+        except Exception as exc:  # reported below, not swallowed
+            errors.append(exc)
+
+    threads = [threading.Thread(target=query) for _ in range(2)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    assert errors == []
+    assert results == [67992124121040, 67992124121040]
+    assert eng.store.degrees() == [1, 2, 3, 4, 5, 6]
+
+
+def test_bad_unit_fails_at_the_forcing_relation(engine4):
+    # N(3,1,0,3;3) = 9 set to 0 makes a degree-4 unit relation force
+    # N(4,1,0,4;4) = -44; the error names that relation and that key
+    store = InvariantStore()
+    for d in (1, 2):
+        store.commit_degree(d, dict(engine4.store.canonical_table(d)))
+    table = dict(engine4.store.canonical_table(3))
+    assert table[(3, 1, 0, 3)] == 9
+    table[(3, 1, 0, 3)] = 0
+    store.commit_degree(3, table)
+    eng = Engine()
+    eng.store = store
+    with pytest.raises(InconsistencyError) as info:
+        eng.solve_degree(4)
+    exc = info.value
+    assert exc.degree == 4
+    assert "key (4, 1, 0, 4) forced to -44" in str(exc)
+    (family,) = [f for f in equation_families() if f.quadruple == exc.quadruple]
+    assert exc.target in tuples_of_weight(family.target_weight(4))
+    eq = build_equation(family, exc.target, 4, PsiCalculator(store.raw_tables()))
+    assert (4, 1, 0, 4) in [k[:4] for k, _c in eq.terms]
+    assert store.max_degree == 3
 
 
 def test_verify_wdvv_degree_zero_is_empty(engine4):
@@ -173,8 +225,6 @@ def test_verify_wdvv_low_degrees(engine4):
     report = engine4.verify_wdvv(3)
     assert report.ok
     assert report.equations_checked == 1981  # regression value
-    assert engine4.store.status_of(1) == "verified"
-    assert engine4.store.status_of(99) == "unsolved"
 
 
 def test_quantum_pieri_matches_solved_divisor_reductions(engine4):
