@@ -6,9 +6,10 @@ degrees.  Within a degree the solver runs unit propagation over a
 deterministic equation stream, in exact integers: every unit relation
 c * N + k = 0 must force a nonnegative integer N, or the relation that
 forced it is reported as violated.  The system is heavily over-determined,
-so propagation alone pins every value; keys it leaves open are reported as
-an underdetermined system.  Solved values are committed once and never
-change.
+and propagation alone has pinned every value of every degree measured
+(d <= 17); there is no elimination fallback, so keys it leaves open are
+reported as an underdetermined system.  Solved values are committed once
+and never change.
 
 Equation generation is pure given a read-only snapshot of the lower
 degrees, so verification work can be split across processes; solving and

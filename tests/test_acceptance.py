@@ -2,9 +2,11 @@
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 lines.  The full solve through degree 9 and the exhaustive relation check
-at degree 9 both run here; expect a couple of minutes total.
+at degree 9 both run here; expect a couple of minutes total.  A last test
+pins degree 10, beyond the golden range.
 """
 
+import hashlib
 import random
 import time
 
@@ -146,3 +148,21 @@ def test_criterion_8_determinism_and_persistence(solved, tmp_path):
     assert verify_store(loaded, 4, exhaustive=True).ok
     print("\nACCEPTANCE 8 PASS: byte-identical caches across runs; "
           "save/load/verify round-trip")
+
+
+def test_propagation_alone_solves_degree_10(solved):
+    """Degree 10 (reachable with --allow-high-degree) solves by unit
+    propagation alone, to the same table a solver with a rational
+    elimination fallback produced without ever entering that fallback."""
+    engine, _ = solved
+    beyond = Engine()
+    beyond.store = engine.store.copy()
+    table = beyond.solve_degree(10)  # UnderdeterminedSystemError if not
+    assert len(table) == 1260
+    assert beyond.q_number(10) == 845184128780692726541212424520960
+    digest = hashlib.sha256(repr(sorted(table.items())).encode()).hexdigest()
+    assert digest == (
+        "5df3fed31c9189bb52ffc9fa84ce7b2126f053dee027f393aa151518ebb21b57"
+    )
+    print("\nPASS: degree 10 pinned by propagation alone "
+          f"(Q_10 = {beyond.q_number(10)})")
