@@ -26,7 +26,7 @@ import tempfile
 
 from .engine import InvariantStore
 from .keys import SeedSet
-from .wdvv import PsiCalculator, build_equation, equation_families, pairing_structure
+from .wdvv import PsiCalculator, build_equation, equation_families
 
 SCHEMA_VERSION = 1
 _SAMPLE_ROWS_PER_DEGREE = 4
@@ -80,8 +80,11 @@ def save_store(store: InvariantStore, path: str, seed_set: SeedSet,
 
 
 def load_store(path: str, seed_set: SeedSet) -> InvariantStore:
-    with open(path, "r") as handle:
-        raw = handle.read()
+    with open(path, "r", encoding="utf-8") as handle:
+        try:
+            raw = handle.read()
+        except UnicodeDecodeError as exc:
+            raise CacheError(f"cache file is not UTF-8 text: {exc}") from exc
     lines = raw.splitlines()
     if not lines:
         raise CacheError("empty cache file")
@@ -89,6 +92,8 @@ def load_store(path: str, seed_set: SeedSet) -> InvariantStore:
         header = json.loads(lines[0])
     except json.JSONDecodeError as exc:
         raise CacheError(f"malformed header: {exc}") from exc
+    if not isinstance(header, dict):
+        raise CacheError(f"malformed header: not a JSON object: {lines[0]!r}")
     if header.get("schema") != SCHEMA_VERSION:
         raise CacheError(f"unsupported schema version {header.get('schema')!r}")
     expected_seed = seed_digest(seed_set)
@@ -148,21 +153,18 @@ def _verify_sample(store: InvariantStore) -> None:
                     break
                 if fam.target_weight(degree) < 0:
                     continue
-                for pairing in (fam.positive, fam.negative):
-                    hit = None
-                    for _a, (sa, sb, sg, se), _n1 in pairing_structure(pairing)[0]:
-                        t = (key[0] - sa, key[1] - sb, key[2] - sg, key[3] - se)
-                        if min(t) >= 0:
-                            hit = t
-                            break
-                    if hit is None:
-                        continue
-                    eq = build_equation(fam, hit, degree, psi)
-                    if eq.residual(lambda k: raw[k[:4]]) != 0:
-                        raise CacheError(
-                            f"sample verification failed at degree {degree}, "
-                            f"row {key}, quadruple {eq.quadruple}, "
-                            f"monomial {hit}"
-                        )
-                    checked += 1
-                    break
+                targets = [
+                    (key[0] - sa, key[1] - sb, key[2] - sg, key[3] - se)
+                    for _c, _sigma, (sa, sb, sg, se), _n1 in fam.cross
+                ]
+                hit = next((t for t in targets if min(t) >= 0), None)
+                if hit is None:
+                    continue
+                eq = build_equation(fam, hit, degree, psi)
+                if eq.residual(lambda k: raw[k[:4]]) != 0:
+                    raise CacheError(
+                        f"sample verification failed at degree {degree}, "
+                        f"row {key}, quadruple {eq.quadruple}, "
+                        f"monomial {hit}"
+                    )
+                checked += 1

@@ -111,11 +111,18 @@ def _check_degree_gate(args) -> None:
         )
 
 
+def _load_cache(cache_path: str, seed_set):
+    try:
+        return load_store(cache_path, seed_set)
+    except OSError as exc:
+        raise UsageError(f"cannot read cache file: {exc}") from exc
+
+
 def _engine_with_cache(cache_path: str | None) -> tuple[Engine, int]:
     engine = Engine()
     loaded = 0
     if cache_path and os.path.exists(cache_path):
-        engine.store = load_store(cache_path, engine.seed_set)
+        engine.store = _load_cache(cache_path, engine.seed_set)
         loaded = engine.store.max_degree
     return engine, loaded
 
@@ -254,8 +261,7 @@ def cmd_cache_export(args) -> int:
 
 
 def cmd_cache_import(args) -> int:
-    engine = Engine()
-    store = load_store(args.cache_path, engine.seed_set)
+    store = _load_cache(args.cache_path, Engine().seed_set)
     rows = sum(len(store.canonical_table(d)) for d in store.degrees())
     print(
         f"cache accepted: degrees 1..{store.max_degree}, {rows} rows"

@@ -11,9 +11,10 @@ and propagation alone has pinned every value of every degree measured
 reported as an underdetermined system.  Solved values are committed once
 and never change.
 
-Equation generation is pure given a read-only snapshot of the lower
-degrees, so verification work can be split across processes; solving and
-commits happen on a single writer at each degree boundary.
+Equation generation and ``solve_values`` are pure given a read-only
+snapshot of the lower degrees, so the lean verifier re-solves each degree
+straight from a stored table and verification work can be split across
+processes; commits happen on a single writer at each degree boundary.
 """
 
 from __future__ import annotations
@@ -39,7 +40,6 @@ from .wdvv import (
     build_equation,
     equation_families,
     exhaustive_order,
-    pairing_structure,
     solve_order,
 )
 
@@ -82,7 +82,6 @@ class InvariantStore:
     def __init__(self):
         self._canonical: dict[int, dict[Tuple4, int]] = {}
         self._raw: dict[int, dict[Tuple4, int]] = {}
-        self._nonzero: dict[int, list[tuple[Tuple4, int]]] = {}
 
     @property
     def max_degree(self) -> int:
@@ -114,7 +113,6 @@ class InvariantStore:
             raw[(a, b, g, e)] = v
             raw[(b, a, g, e)] = v
         self._raw[degree] = raw
-        self._nonzero[degree] = [(t, v) for t, v in sorted(raw.items()) if v]
         self._canonical[degree] = canonical
 
     def canonical_table(self, degree: int) -> dict[Tuple4, int]:
@@ -127,10 +125,6 @@ class InvariantStore:
 
     def raw_tables(self) -> dict[int, dict[Tuple4, int]]:
         return self._raw
-
-    def nonzero_items(self, degree: int) -> list[tuple[Tuple4, int]]:
-        self._require(degree)
-        return self._nonzero[degree]
 
     def value(self, key: InvariantKey) -> int:
         if not dimension_valid(key):
@@ -188,13 +182,130 @@ def _seed_assignments(seed_set: SeedSet) -> dict[Tuple4, int]:
     return out
 
 
+def solve_values(
+    tables: dict[int, dict[Tuple4, int]],
+    degree: int,
+    seed_set: SeedSet | None,
+) -> tuple[dict[Tuple4, int], int]:
+    """Solve one degree from the raw tables of the degrees below it.
+
+    Returns the value of every canonical key of ``degree`` and the number
+    of relations assembled.  ``tables`` may also hold ``degree`` and
+    higher degrees, which are never read.  ``seed_set`` supplies the
+    degree-1 seeds and is not read at higher degrees.
+    """
+    unknowns = set(canonical_tuples(degree))
+    assigned: dict[Tuple4, int] = {}
+    queue: deque[Tuple4] = deque()
+    # pending[i] = [open terms, constant, (quadruple, target)]; an entry is
+    # replaced by None once it has at most one open key left.
+    pending: list = []
+    index: dict[Tuple4, set[int]] = {}
+
+    def put(t: Tuple4, value: int, src) -> None:
+        if t in assigned:
+            if assigned[t] != value:
+                raise InconsistencyError(
+                    degree, src[0], src[1],
+                    f"key {t} forced to both {assigned[t]} and {value}",
+                )
+            return
+        assigned[t] = value
+        queue.append(t)
+
+    def settle(terms: dict[Tuple4, int], const: int, src) -> None:
+        """Act on the relation sum(c * N(t)) + const = 0 over its open keys:
+        check it when none is open, force the one open key, else park it."""
+        if not terms:
+            if const != 0:
+                raise InconsistencyError(degree, *src)
+        elif len(terms) == 1:
+            ((t, coeff),) = terms.items()
+            value, rem = divmod(-const, coeff)
+            if rem or value < 0:
+                shown = f"{-const}/{coeff}" if rem else value
+                raise InconsistencyError(
+                    degree, src[0], src[1],
+                    f"key {t} forced to {shown}, not a nonnegative integer",
+                )
+            put(t, value, src)
+        else:
+            eid = len(pending)
+            pending.append([terms, const, src])
+            for t in terms:
+                index.setdefault(t, set()).add(eid)
+
+    def drain() -> None:
+        while queue:
+            t = queue.popleft()
+            value = assigned[t]
+            for eid in sorted(index.pop(t, ())):
+                eq = pending[eid]
+                if eq is None:
+                    continue
+                coeff = eq[0].pop(t, None)
+                if coeff is None:
+                    continue
+                eq[1] += coeff * value
+                if len(eq[0]) <= 1:
+                    pending[eid] = None
+                    settle(*eq)
+
+    if degree == 1:
+        for t, v in _seed_assignments(seed_set).items():
+            put(t, v, (("seed",), t))
+    drain()
+
+    psi = PsiCalculator(tables)
+    families = equation_families()
+    assembled = 0
+    for _cost, fam_idx, target in solve_order(degree):
+        if len(assigned) == len(unknowns):
+            break
+        # Constants are the expensive part of assembly; skip relations
+        # that cannot assign anything new.  Redundant relations are still
+        # checked wholesale by the verifier.
+        fam = families[fam_idx]
+        ta, tb, tg, td = target
+        for _c, _sigma, (sa, sb, sg, se), _n1 in fam.cross:
+            a, b = ta + sa, tb + sb
+            if a < b:
+                a, b = b, a
+            if (a, b, tg + sg, td + se) not in assigned:
+                break
+        else:
+            continue
+        eq = build_equation(fam, target, degree, psi)
+        assembled += 1
+        terms: dict[Tuple4, int] = {}
+        const = eq.constant
+        for key, coeff in eq.terms:
+            t = key[:4]
+            if t in assigned:
+                const += coeff * assigned[t]
+            else:
+                terms[t] = coeff
+        settle(terms, const, (eq.quadruple, target))
+        drain()
+
+    missing = unknowns - assigned.keys()
+    if missing:
+        raise UnderdeterminedSystemError(degree, missing)
+
+    for eq in pending:
+        if eq is not None:
+            residual = eq[1] + sum(c * assigned[t] for t, c in eq[0].items())
+            if residual != 0:
+                raise InconsistencyError(degree, *eq[2])
+    return assigned, assembled
+
+
 class Engine:
     """Solves, stores and serves the counts N(alpha,beta,gamma,delta;d)."""
 
     def __init__(self, seed_set: SeedSet | None = None):
         self.seed_set = seed_set if seed_set is not None else seed_invariants()
         self.store = InvariantStore()
-        self.equations_used: dict[int, int] = {}
         # Serializes the lazy solve: concurrent queries may both find a
         # degree missing, but only one may solve and commit it.
         self._solve_lock = threading.Lock()
@@ -218,132 +329,11 @@ class Engine:
                     f"{self.store.max_degree + 1} first (e.g. key "
                     f"{canonical_tuples(self.store.max_degree + 1)[0]})"
                 )
-            values = self._solve_degree_values(degree)
+            values, _assembled = solve_values(
+                self.store.raw_tables(), degree, self.seed_set
+            )
             self.store.commit_degree(degree, values)
             return self.store.canonical_table(degree)
-
-    def _solve_degree_values(self, degree: int) -> dict[Tuple4, int]:
-        unknowns = set(canonical_tuples(degree))
-        assigned: dict[Tuple4, int] = {}
-        queue: deque[Tuple4] = deque()
-
-        def put(t: Tuple4, value: int, src) -> None:
-            if t in assigned:
-                if assigned[t] != value:
-                    raise InconsistencyError(
-                        degree, src[0], src[1],
-                        f"key {t} forced to both {assigned[t]} and {value}",
-                    )
-                return
-            assigned[t] = value
-            queue.append(t)
-
-        def put_unit(t: Tuple4, coeff: int, const: int, src) -> None:
-            """Assign t from the unit relation coeff * N(t) + const = 0."""
-            value, rem = divmod(-const, coeff)
-            if rem or value < 0:
-                shown = f"{-const}/{coeff}" if rem else value
-                raise InconsistencyError(
-                    degree, src[0], src[1],
-                    f"key {t} forced to {shown}, not a nonnegative integer",
-                )
-            put(t, value, src)
-
-        if degree == 1:
-            for t, v in _seed_assignments(self.seed_set).items():
-                put(t, v, (("seed",), t))
-
-        # pending[i] = [terms dict, constant, (quadruple, target)]; an entry
-        # is replaced by None once consumed as a unit or fully checked.
-        pending: list = []
-        index: dict[Tuple4, set[int]] = {}
-
-        def drain() -> None:
-            while queue:
-                t = queue.popleft()
-                value = assigned[t]
-                for eid in sorted(index.pop(t, ())):
-                    eq = pending[eid]
-                    if eq is None:
-                        continue
-                    coeff = eq[0].pop(t, None)
-                    if coeff is None:
-                        continue
-                    eq[1] += coeff * value
-                    if len(eq[0]) == 1:
-                        ((u, cu),) = eq[0].items()
-                        pending[eid] = None
-                        put_unit(u, cu, eq[1], eq[2])
-                    elif not eq[0]:
-                        pending[eid] = None
-                        if eq[1] != 0:
-                            raise InconsistencyError(degree, *eq[2])
-
-        drain()
-        psi = PsiCalculator(self.store.raw_tables())
-        families = equation_families()
-        fam_shifts: dict[int, tuple] = {}
-        assembled = 0
-        for _cost, fam_idx, target in solve_order(degree):
-            if len(assigned) == len(unknowns):
-                break
-            # Constants are the expensive part of assembly; skip relations
-            # that cannot assign anything new.  Redundant relations are
-            # still checked wholesale by the verifier.
-            shifts = fam_shifts.get(fam_idx)
-            if shifts is None:
-                fam = families[fam_idx]
-                collected = set()
-                for pairing in (fam.positive, fam.negative):
-                    for _a, s, _n1 in pairing_structure(pairing)[0]:
-                        collected.add(s)
-                shifts = fam_shifts[fam_idx] = tuple(collected)
-            ta, tb, tg, td = target
-            for sa, sb, sg, se in shifts:
-                a, b = ta + sa, tb + sb
-                if a < b:
-                    a, b = b, a
-                if (a, b, tg + sg, td + se) not in assigned:
-                    break
-            else:
-                continue
-            eq = build_equation(families[fam_idx], target, degree, psi)
-            assembled += 1
-            terms: dict[Tuple4, int] = {}
-            const = eq.constant
-            for key, coeff in eq.terms:
-                t = key[:4]
-                if t in assigned:
-                    const += coeff * assigned[t]
-                else:
-                    terms[t] = coeff
-            src = (eq.quadruple, target)
-            if not terms:
-                if const != 0:
-                    raise InconsistencyError(degree, *src)
-            elif len(terms) == 1:
-                ((u, cu),) = terms.items()
-                put_unit(u, cu, const, src)
-                drain()
-            else:
-                eid = len(pending)
-                pending.append([terms, const, src])
-                for u in terms:
-                    index.setdefault(u, set()).add(eid)
-
-        missing = unknowns - assigned.keys()
-        if missing:
-            raise UnderdeterminedSystemError(degree, missing)
-
-        for eq in pending:
-            if eq is None:
-                continue
-            residual = eq[1] + sum(c * assigned[t] for t, c in eq[0].items())
-            if residual != 0:
-                raise InconsistencyError(degree, *eq[2])
-
-        self.equations_used[degree] = assembled
-        return assigned
 
     # -- queries ---------------------------------------------------------
 
@@ -424,11 +414,8 @@ def _conv_jobs(max_degree: int):
         for fam in equation_families():
             if fam.target_weight(degree) < 0:
                 continue
-            for pairing in (fam.positive, fam.negative):
-                for sigma1, sigma2 in pairing_structure(pairing)[1]:
-                    if sigma2 < sigma1:
-                        sigma1, sigma2 = sigma2, sigma1
-                    jobs.add((degree, sigma1, sigma2))
+            for _sign, sigma1, sigma2 in fam.quantum:
+                jobs.add((degree, *sorted((sigma1, sigma2))))
     return sorted(jobs)
 
 
@@ -450,7 +437,7 @@ def _prefill_series(psi: PsiCalculator, max_degree: int, workers: int) -> None:
     import multiprocessing as mp
 
     jobs = _conv_jobs(max_degree)
-    ctx = mp.get_context("fork")
+    ctx = mp.get_context()
     with ctx.Pool(workers, initializer=_worker_init,
                   initargs=(psi.tables,)) as pool:
         for (degree, s1, s2), series in pool.imap_unordered(
@@ -489,23 +476,19 @@ def verify_store(
     if exhaustive and workers > 1:
         _prefill_series(psi, max_degree, workers)
     for degree in range(1, max_degree + 1):
-        if exhaustive or degree == 1:
-            count, found = _check_degree_relations(store, degree, psi)
-            checked += count
-            violations.extend(found)
-        else:
-            scratch = Engine()
-            for d in range(1, degree):
-                scratch.store.commit_degree(d, dict(store.canonical_table(d)))
+        if not exhaustive and degree > 1:
             try:
-                rederived = scratch.solve_degree(degree)
+                rederived, assembled = solve_values(
+                    store.raw_tables(), degree, None
+                )
             except EngineError:
-                rederived = None
-            checked += scratch.equations_used.get(degree, 0)
-            if rederived != store.canonical_table(degree):
-                count, found = _check_degree_relations(store, degree, psi)
-                checked += count
-                violations.extend(found)
+                rederived, assembled = None, 0
+            checked += assembled
+            if rederived == store.canonical_table(degree):
+                continue
+        count, found = _check_degree_relations(degree, psi)
+        checked += count
+        violations.extend(found)
     return WdvvReport(
         max_degree=max_degree,
         equations_checked=checked,
@@ -513,8 +496,7 @@ def verify_store(
     )
 
 
-def _check_degree_relations(store: InvariantStore, degree: int,
-                            psi: PsiCalculator):
+def _check_degree_relations(degree: int, psi: PsiCalculator):
     """Every relation of one degree, as aggregated residual series."""
     checked = 0
     violations = []
@@ -524,18 +506,13 @@ def _check_degree_relations(store: InvariantStore, degree: int,
             continue
         residual: dict[Tuple4, int] = {}
         get = residual.get
-        for sign, pairing in ((1, fam.positive), (-1, fam.negative)):
-            cross, quantum = pairing_structure(pairing)
-            for a_val, (sa, sb, sg, se), n1 in cross:
-                c = sign * a_val * degree**n1
-                for (a, b, g, e), v in store.nonzero_items(degree):
-                    if a >= sa and b >= sb and g >= sg and e >= se:
-                        t = (a - sa, b - sb, g - sg, e - se)
-                        residual[t] = get(t, 0) + c * v
-            for sigma1, sigma2 in quantum:
-                series = psi.series(sigma1, sigma2, degree)
-                for t, v in series.items():
-                    residual[t] = get(t, 0) + sign * v
+        for coeff, sigma, _shift, _n1 in fam.cross:
+            for a, b, g, e, v in psi.shifted_items(degree, sigma):
+                t = (a, b, g, e)
+                residual[t] = get(t, 0) + coeff * v
+        for sign, sigma1, sigma2 in fam.quantum:
+            for t, v in psi.series(sigma1, sigma2, degree).items():
+                residual[t] = get(t, 0) + sign * v
         checked += len(tuples_of_weight(w))
         for t, v in sorted(residual.items()):
             if v:

@@ -28,10 +28,6 @@ class InvariantKey(NamedTuple):
         return self.alpha + self.beta + 2 * self.gamma + 3 * self.delta
 
 
-def weight(alpha: int, beta: int, gamma: int, delta: int) -> int:
-    return alpha + beta + 2 * gamma + 3 * delta
-
-
 def dimension_valid(key: InvariantKey) -> bool:
     """True iff the key satisfies the dimension condition at degree >= 1.
 

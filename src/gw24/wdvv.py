@@ -33,7 +33,7 @@ from functools import lru_cache
 from itertools import combinations, combinations_with_replacement
 from math import comb
 
-from .cohomology import CODIM, LABELS, Basis, triple
+from .cohomology import CODIM, LABELS, triple
 from .keys import InvariantKey, normalize, tuples_of_weight
 
 # Basis indices 0..5 = T0, T1, Ta, Tb, T3, T4.  Quadruples are drawn from
@@ -75,6 +75,17 @@ class EquationFamily:
     an ordering (i,j,k,l) realizing positive = {ij|kl}, negative = {jk|il}
     (used for reporting), and ``codim_total`` the total codimension, which
     fixes the monomial weight class 4d + 4 - codim_total at degree d.
+
+    The relation's terms, with the pairing's sign folded in, positive
+    pairing first:
+
+    * ``cross`` lists the classical-times-quantum contractions, which are
+      linear in the degree-d counts, as (sign * A, sigma, shift, n1): the
+      classical triple value A times the quantum third partial over the
+      sorted index triple ``sigma``, whose key shift and T1 count are
+      ``triple_info(sigma)``;
+    * ``quantum`` lists the quantum-times-quantum products, built from
+      lower degrees only, as (sign, sigma1, sigma2).
     """
 
     classes: Tuple4
@@ -82,6 +93,8 @@ class EquationFamily:
     negative: Pairing
     quadruple: Tuple4
     codim_total: int
+    cross: tuple[tuple[int, Triple, Tuple4, int], ...]
+    quantum: tuple[tuple[int, Triple, Triple], ...]
 
     def target_weight(self, degree: int) -> int:
         return 4 * degree + 4 - self.codim_total
@@ -110,6 +123,25 @@ def _resolve_quadruple(pos: Pairing, neg: Pairing) -> Tuple4:
     raise AssertionError(f"incompatible pairings {pos} / {neg}")
 
 
+def _pairing_structure(pairing: Pairing, sign: int):
+    """The cross and quantum terms of one pairing {ij|kl}, signed."""
+    (i, j), (k, l) = pairing
+    cross = []
+    quantum = []
+    for e, f in ORIENTED_PAIRS:
+        left = tuple(sorted((i, j, e)))
+        right = tuple(sorted((f, k, l)))
+        # Basis is an IntEnum, so plain index triples look up A; building
+        # enum members here would dominate the cost of equation_families().
+        for a_val, sigma in ((triple(*left), right), (triple(*right), left)):
+            shift, n1, alive = triple_info(sigma)
+            if a_val and alive:
+                cross.append((sign * a_val, sigma, shift, n1))
+        if e != 0 and f != 0:
+            quantum.append((sign, left, right))
+    return cross, quantum
+
+
 @lru_cache(maxsize=1)
 def equation_families() -> tuple[EquationFamily, ...]:
     """All associativity relations, in a fixed deterministic order.
@@ -122,6 +154,8 @@ def equation_families() -> tuple[EquationFamily, ...]:
     for ms in combinations_with_replacement(QUANTUM_CLASSES, 4):
         pairings = _pairings_of(ms)
         for pos, neg in combinations(pairings, 2):
+            cross_pos, quantum_pos = _pairing_structure(pos, 1)
+            cross_neg, quantum_neg = _pairing_structure(neg, -1)
             fams.append(
                 EquationFamily(
                     classes=ms,
@@ -129,36 +163,11 @@ def equation_families() -> tuple[EquationFamily, ...]:
                     negative=neg,
                     quadruple=_resolve_quadruple(pos, neg),
                     codim_total=sum(CODIM[c] for c in ms),
+                    cross=tuple(cross_pos + cross_neg),
+                    quantum=tuple(quantum_pos + quantum_neg),
                 )
             )
     return tuple(fams)
-
-
-# Per-pairing assembly structure.  ``cross`` lists the unknown-producing
-# classical-times-quantum contractions as (A value, key shift, n1);
-# ``quantum`` lists the quantum-times-quantum series pairs as sorted
-# triples (sigma1, sigma2).
-@lru_cache(maxsize=None)
-def pairing_structure(pairing: Pairing):
-    (i, j), (k, l) = pairing
-    cross = []
-    quantum = []
-    for e, f in ORIENTED_PAIRS:
-        a_left = triple(Basis(i), Basis(j), Basis(e))
-        if a_left:
-            sigma = tuple(sorted((f, k, l)))
-            shift, n1, alive = triple_info(sigma)
-            if alive:
-                cross.append((a_left, shift, n1))
-        a_right = triple(Basis(f), Basis(k), Basis(l))
-        if a_right:
-            sigma = tuple(sorted((i, j, e)))
-            shift, n1, alive = triple_info(sigma)
-            if alive:
-                cross.append((a_right, shift, n1))
-        if e != 0 and f != 0:
-            quantum.append((tuple(sorted((i, j, e))), tuple(sorted((f, k, l)))))
-    return tuple(cross), tuple(quantum)
 
 
 @dataclass(frozen=True)
@@ -182,15 +191,19 @@ class WdvvEquation:
 
 
 class PsiCalculator:
-    """Quantum-times-quantum constants from already-solved degrees.
+    """Degree-shifted views of the solved tables, and the quantum-times-
+    quantum constants built from them.
 
     ``tables`` maps each solved degree to its raw table {(a,b,g,d): value}
     containing every valid exponent tuple of that degree in both symmetry
-    orientations.  Two evaluation modes: ``at`` enumerates the splittings
-    of a single target (cheap for one equation), ``series`` convolves whole
-    degree tables (cheap when a family needs every target of its weight
-    class).  Both are pure given the tables, so instances may be shared by
-    concurrent readers once built.
+    orientations.  ``shifted_items`` reindexes one degree's nonzero values
+    by the target monomials a quantum third partial feeds, which is both
+    a factor of the products below and a relation's cross part at its own
+    degree.  Two evaluation modes for the products: ``at`` enumerates the
+    splittings of a single target (cheap for one equation), ``series``
+    convolves whole degree tables (cheap when a family needs every target
+    of its weight class).  All are pure given the tables and memoized, so
+    instances may be shared by concurrent readers once built.
     """
 
     def __init__(self, tables: dict[int, dict[Tuple4, int]]):
@@ -198,7 +211,7 @@ class PsiCalculator:
         self._items: dict[tuple[int, Triple], list] = {}
         self._series: dict[tuple[int, Triple, Triple], dict[Tuple4, int]] = {}
 
-    def _shifted_items(self, degree: int, sigma: Triple):
+    def shifted_items(self, degree: int, sigma: Triple):
         """Nonzero degree-``degree`` values reindexed by target exponents.
 
         Entry (a, b, g, e, v * degree**n1) stands for the key
@@ -271,10 +284,10 @@ class PsiCalculator:
         out: dict[Tuple4, int] = {}
         get = out.get
         for d1 in range(1, degree):
-            items1 = self._shifted_items(d1, sigma1)
+            items1 = self.shifted_items(d1, sigma1)
             if not items1:
                 continue
-            items2 = self._shifted_items(degree - d1, sigma2)
+            items2 = self.shifted_items(degree - d1, sigma2)
             if not items2:
                 continue
             for a1, b1, g1, e1, v1 in items1:
@@ -299,17 +312,14 @@ def build_equation(
 ) -> WdvvEquation:
     """Assemble the relation of ``family`` at one target monomial."""
     terms: dict[InvariantKey, int] = {}
-    constant = 0
     ta, tb, tg, td = target
-    for sign, pairing in ((1, family.positive), (-1, family.negative)):
-        cross, quantum = pairing_structure(pairing)
-        for a_val, (sa, sb, sg, se), n1 in cross:
-            key = normalize(
-                InvariantKey(ta + sa, tb + sb, tg + sg, td + se, degree)
-            )
-            terms[key] = terms.get(key, 0) + sign * a_val * degree**n1
-        for sigma1, sigma2 in quantum:
-            constant += sign * psi.at(sigma1, sigma2, target, degree)
+    for coeff, _sigma, (sa, sb, sg, se), n1 in family.cross:
+        key = normalize(InvariantKey(ta + sa, tb + sb, tg + sg, td + se, degree))
+        terms[key] = terms.get(key, 0) + coeff * degree**n1
+    constant = sum(
+        sign * psi.at(sigma1, sigma2, target, degree)
+        for sign, sigma1, sigma2 in family.quantum
+    )
     clean = tuple(sorted((k, c) for k, c in terms.items() if c != 0))
     return WdvvEquation(
         quadruple=family.quadruple,
@@ -333,9 +343,7 @@ def solve_order(degree: int) -> list[tuple[int, int, Tuple4]]:
         w = fam.target_weight(degree)
         if w < 0:
             continue
-        cross_pos = pairing_structure(fam.positive)[0]
-        cross_neg = pairing_structure(fam.negative)[0]
-        if not cross_pos and not cross_neg:
+        if not fam.cross:
             continue
         for t in tuples_of_weight(w):
             cost = (t[0] + 1) * (t[1] + 1) * (t[2] + 1) * (t[3] + 1)

@@ -109,6 +109,19 @@ def test_malformed_rows_rejected(tmp_path, engine3):
         load_store(str(path), engine3.seed_set)
 
 
+def test_malformed_header_or_encoding_rejected(tmp_path, engine3):
+    path = tmp_path / "store.gw24"
+    save_store(engine3.store, str(path), engine3.seed_set, __version__)
+    header, *rows = path.read_bytes().splitlines(keepends=True)
+    for not_an_object in (b"[1, 2]\n", b'"x"\n'):
+        path.write_bytes(not_an_object + b"".join(rows))
+        with pytest.raises(CacheError, match="header: not a JSON object"):
+            load_store(str(path), engine3.seed_set)
+    path.write_bytes(header + b"\xff\xfe 1 2\n" + b"".join(rows))
+    with pytest.raises(CacheError, match="not UTF-8"):
+        load_store(str(path), engine3.seed_set)
+
+
 def test_missing_degree_rejected(tmp_path, engine3):
     path = tmp_path / "store.gw24"
     save_store(engine3.store, str(path), engine3.seed_set, __version__)

@@ -172,6 +172,26 @@ def test_cache_import_tampered_exits_2(capsys, cache3, tmp_path):
     assert "digest" in err
 
 
+@pytest.mark.parametrize("content", [b"[1, 2]\n", b'"x"\n', b"{}\n\xff\xfe\n"])
+def test_cache_import_malformed_file_exits_2(capsys, tmp_path, content):
+    # a header that is JSON but not an object, and a file that is not
+    # UTF-8, are rejected caches, not usage errors or tracebacks
+    bad = tmp_path / "malformed.gw24"
+    bad.write_bytes(content)
+    code, _out, err = run(capsys, "cache", "import", "--cache-path", str(bad))
+    assert code == 2
+    assert err.startswith("inconsistency: ")
+
+
+def test_cache_import_unreadable_path_usage_error(capsys, tmp_path):
+    for path in (tmp_path / "missing.gw24", tmp_path):
+        code, _out, err = run(capsys, "cache", "import", "--cache-path",
+                              str(path))
+        assert code == 1
+        assert err.startswith("usage error: cannot read cache file")
+        assert "Traceback" not in err
+
+
 def test_usage_error_unknown_command(capsys):
     code, _out, err = run(capsys, "frobnicate")
     assert code == 1
