@@ -28,15 +28,16 @@ psi = PsiCalculator(engine.store.raw_tables())
 eq = build_equation(fam, (6, 0, 0, 0), 2, psi)
 
 print(f"quadruple {fam.label()} at monomial ya^6 q^2:")
-for key, coeff in eq.terms:
-    print(f"  {coeff:+d} * N(alpha={key.alpha}, beta={key.beta}, "
-          f"gamma={key.gamma}, delta={key.delta}; d={key.degree})")
+for (a, b, g, e), coeff in eq.terms:
+    print(f"  {coeff:+d} * N(alpha={a}, beta={b}, gamma={g}, delta={e}; "
+          f"d={eq.degree})")
 print(f"  {eq.constant:+d}  (from products of degree-1 counts)")
 print("  = 0")
 
 print("\nwith the stored values:")
-for key, coeff in eq.terms:
-    print(f"  N{tuple(key)} = {engine.store.value(key)}")
+table = engine.store.raw_table(eq.degree)
+for t, _coeff in eq.terms:
+    print(f"  N{(*t, eq.degree)} = {table[t]}")
 print(f"so N(9,0,0,0;2) = {engine.q_number(2)}: one quadric through nine "
       "points, counted once per ruling.")
 

@@ -118,6 +118,13 @@ def _load_cache(cache_path: str, seed_set):
         raise UsageError(f"cannot read cache file: {exc}") from exc
 
 
+def _save_cache(engine: Engine, cache_path: str) -> None:
+    try:
+        save_store(engine.store, cache_path, engine.seed_set, __version__)
+    except OSError as exc:
+        raise UsageError(f"cannot write cache file: {exc}") from exc
+
+
 def _engine_with_cache(cache_path: str | None) -> tuple[Engine, int]:
     engine = Engine()
     loaded = 0
@@ -130,7 +137,7 @@ def _engine_with_cache(cache_path: str | None) -> tuple[Engine, int]:
 def _maybe_refresh_cache(engine: Engine, cache_path: str | None,
                          loaded: int) -> None:
     if cache_path and engine.store.max_degree > loaded:
-        save_store(engine.store, cache_path, engine.seed_set, __version__)
+        _save_cache(engine, cache_path)
 
 
 def cmd_invariant(args) -> int:
@@ -249,11 +256,9 @@ def cmd_verify(args) -> int:
 
 def cmd_cache_export(args) -> int:
     _check_degree_gate(args)
-    engine, _loaded = _engine_with_cache(args.cache_path
-                                         if os.path.exists(args.cache_path)
-                                         else None)
+    engine, _loaded = _engine_with_cache(args.cache_path)
     engine.solve_up_to(args.max_degree)
-    save_store(engine.store, args.cache_path, engine.seed_set, __version__)
+    _save_cache(engine, args.cache_path)
     print(
         f"exported degrees 1..{engine.store.max_degree} to {args.cache_path}"
     )

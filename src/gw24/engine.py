@@ -29,7 +29,6 @@ from .keys import (
     SeedSet,
     canonical_tuples,
     dimension_valid,
-    normalize,
     tuples_of_weight,
 )
 from .schubert import seed_invariants
@@ -39,7 +38,6 @@ from .wdvv import (
     WdvvEquation,
     build_equation,
     equation_families,
-    exhaustive_order,
     solve_order,
 )
 
@@ -77,17 +75,20 @@ class InconsistencyError(EngineError):
 
 
 class InvariantStore:
-    """Exact-integer memo table of solved counts, committed per degree."""
+    """Exact-integer memo table of solved counts, committed per degree.
+
+    Each degree is held as one table with every key in both alpha <-> beta
+    orientations, inserted in sorted canonical order; the canonical view
+    is derived from it.  A degree is published by a single assignment, so
+    readers need no lock.
+    """
 
     def __init__(self):
-        self._canonical: dict[int, dict[Tuple4, int]] = {}
         self._raw: dict[int, dict[Tuple4, int]] = {}
 
     @property
     def max_degree(self) -> int:
-        # Degrees commit contiguously from 1, and ``_canonical`` gains its
-        # entry last, so this read needs no lock.
-        return len(self._canonical)
+        return len(self._raw)
 
     def degrees(self) -> list[int]:
         return list(range(1, self.max_degree + 1))
@@ -107,20 +108,19 @@ class InvariantStore:
                     f"degree {degree}: value at {t} is not a nonnegative "
                     f"integer: {v!r}"
                 )
-        canonical = dict(sorted(values.items()))
         raw = {}
-        for (a, b, g, e), v in canonical.items():
+        for (a, b, g, e), v in sorted(values.items()):
             raw[(a, b, g, e)] = v
             raw[(b, a, g, e)] = v
         self._raw[degree] = raw
-        self._canonical[degree] = canonical
 
     def canonical_table(self, degree: int) -> dict[Tuple4, int]:
-        self._require(degree)
-        return self._canonical[degree]
+        """A fresh {canonical key: value} dict of one degree, sorted."""
+        return {t: v for t, v in self.raw_table(degree).items() if t[0] >= t[1]}
 
     def raw_table(self, degree: int) -> dict[Tuple4, int]:
-        self._require(degree)
+        if degree not in self._raw:
+            raise MissingValueError(f"degree {degree} has not been solved")
         return self._raw[degree]
 
     def raw_tables(self) -> dict[int, dict[Tuple4, int]]:
@@ -129,19 +129,13 @@ class InvariantStore:
     def value(self, key: InvariantKey) -> int:
         if not dimension_valid(key):
             return 0
-        canon = normalize(key)
-        self._require(key.degree)
-        return self._canonical[key.degree][canon[:4]]
+        return self.raw_table(key.degree)[key[:4]]
 
     def copy(self) -> "InvariantStore":
         out = InvariantStore()
         for d in self.degrees():
-            out.commit_degree(d, dict(self._canonical[d]))
+            out.commit_degree(d, self.canonical_table(d))
         return out
-
-    def _require(self, degree: int) -> None:
-        if degree not in self._canonical:
-            raise MissingValueError(f"degree {degree} has not been solved")
 
 
 @dataclass(frozen=True)
@@ -279,8 +273,7 @@ def solve_values(
         assembled += 1
         terms: dict[Tuple4, int] = {}
         const = eq.constant
-        for key, coeff in eq.terms:
-            t = key[:4]
+        for t, coeff in eq.terms:
             if t in assigned:
                 const += coeff * assigned[t]
             else:
@@ -366,16 +359,10 @@ class Engine:
 
     # -- equation access and verification --------------------------------
 
-    def generate_equations(
-        self, degree: int, policy: str = "solve"
-    ) -> Iterator[WdvvEquation]:
-        """Yield the degree-``degree`` relations under a generation policy.
-
-        ``solve`` streams cheapest-constant-first and skips relations with
-        no unknown-bearing term; ``exhaustive`` yields every relation of
-        every quadruple in lexicographic order.  Lower degrees must be
-        solved already.
-        """
+    def generate_equations(self, degree: int) -> Iterator[WdvvEquation]:
+        """Yield every degree-``degree`` relation, family by family and
+        target by target in lexicographic order.  Lower degrees must be
+        solved already."""
         if degree < 1:
             return iter(())
         if self.store.max_degree < degree - 1:
@@ -384,19 +371,12 @@ class Engine:
                 f"generate_equations({degree}) needs degree {missing} solved "
                 f"(e.g. key {canonical_tuples(missing)[0]})"
             )
-        return self._equations(degree, policy)
-
-    def _equations(self, degree: int, policy: str) -> Iterator[WdvvEquation]:
         psi = PsiCalculator(self.store.raw_tables())
-        families = equation_families()
-        if policy == "solve":
-            order = ((i, t) for _c, i, t in solve_order(degree))
-        elif policy == "exhaustive":
-            order = iter(exhaustive_order(degree))
-        else:
-            raise ValueError(f"unknown generation policy: {policy!r}")
-        for fam_idx, target in order:
-            yield build_equation(families[fam_idx], target, degree, psi)
+        return (
+            build_equation(fam, target, degree, psi)
+            for fam in equation_families()
+            for target in tuples_of_weight(fam.target_weight(degree))
+        )
 
     def verify_wdvv(
         self, max_degree: int, exhaustive: bool = True, workers: int = 1

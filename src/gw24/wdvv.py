@@ -34,7 +34,7 @@ from itertools import combinations, combinations_with_replacement
 from math import comb
 
 from .cohomology import CODIM, LABELS, triple
-from .keys import InvariantKey, normalize, tuples_of_weight
+from .keys import tuples_of_weight
 
 # Basis indices 0..5 = T0, T1, Ta, Tb, T3, T4.  Quadruples are drawn from
 # the five positive-codimension classes.
@@ -174,20 +174,21 @@ def equation_families() -> tuple[EquationFamily, ...]:
 class WdvvEquation:
     """One linear relation among the degree-``degree`` counts.
 
-    ``terms`` maps canonical keys of degree ``degree`` to integer
-    coefficients; ``constant`` folds in everything built from lower
-    degrees.  The relation asserts  sum(c * N(key)) + constant = 0.
+    ``terms`` pairs canonical (alpha >= beta) exponent tuples of degree
+    ``degree`` with their nonzero integer coefficients, sorted by tuple;
+    ``constant`` folds in everything built from lower degrees.  The
+    relation asserts  sum(c * N(t; degree)) + constant = 0.
     """
 
     quadruple: Tuple4
     target: Tuple4
     degree: int
-    terms: tuple[tuple[InvariantKey, int], ...]
+    terms: tuple[tuple[Tuple4, int], ...]
     constant: int
 
-    def residual(self, lookup) -> int:
-        """lookup(key) -> value; returns the (should-be-zero) evaluation."""
-        return sum(c * lookup(k) for k, c in self.terms) + self.constant
+    def residual(self, table: dict[Tuple4, int]) -> int:
+        """The (should-be-zero) evaluation against one degree's table."""
+        return sum(c * table[t] for t, c in self.terms) + self.constant
 
 
 class PsiCalculator:
@@ -216,28 +217,28 @@ class PsiCalculator:
 
         Entry (a, b, g, e, v * degree**n1) stands for the key
         (a,b,g,e) + shift(sigma); keys not dominating the shift contribute
-        nothing to any product and are dropped.
+        nothing to any product and are dropped.  ``sigma`` never holds the
+        unit class: ``equation_families`` drops those terms.
         """
         memo_key = (degree, sigma)
         cached = self._items.get(memo_key)
         if cached is not None:
             return cached
-        (sa, sb, sg, se), n1, alive = triple_info(sigma)
+        (sa, sb, sg, se), n1, _alive = triple_info(sigma)
         items = []
-        if alive:
-            dpow = degree**n1
-            for (a, b, g, e), v in self.tables[degree].items():
-                if v and a >= sa and b >= sb and g >= sg and e >= se:
-                    items.append((a - sa, b - sb, g - sg, e - se, v * dpow))
+        dpow = degree**n1
+        for (a, b, g, e), v in self.tables[degree].items():
+            if v and a >= sa and b >= sb and g >= sg and e >= se:
+                items.append((a - sa, b - sb, g - sg, e - se, v * dpow))
         self._items[memo_key] = items
         return items
 
     def at(self, sigma1: Triple, sigma2: Triple, target: Tuple4, degree: int) -> int:
         """Coefficient of the target monomial in the product of the two
         quantum third-partial series, at total curve degree ``degree``."""
-        shift1, n1, alive1 = triple_info(sigma1)
-        shift2, n2, alive2 = triple_info(sigma2)
-        if not (alive1 and alive2) or degree < 2:
+        shift1, n1, _alive1 = triple_info(sigma1)
+        shift2, n2, _alive2 = triple_info(sigma2)
+        if degree < 2:
             return 0
         w1 = shift_weight(shift1)
         ta, tb, tg, td = target
@@ -311,11 +312,14 @@ def build_equation(
     psi: PsiCalculator,
 ) -> WdvvEquation:
     """Assemble the relation of ``family`` at one target monomial."""
-    terms: dict[InvariantKey, int] = {}
+    terms: dict[Tuple4, int] = {}
     ta, tb, tg, td = target
     for coeff, _sigma, (sa, sb, sg, se), n1 in family.cross:
-        key = normalize(InvariantKey(ta + sa, tb + sb, tg + sg, td + se, degree))
-        terms[key] = terms.get(key, 0) + coeff * degree**n1
+        a, b = ta + sa, tb + sb
+        if a < b:
+            a, b = b, a
+        t = (a, b, tg + sg, td + se)
+        terms[t] = terms.get(t, 0) + coeff * degree**n1
     constant = sum(
         sign * psi.at(sigma1, sigma2, target, degree)
         for sign, sigma1, sigma2 in family.quantum
@@ -351,14 +355,3 @@ def solve_order(degree: int) -> list[tuple[int, int, Tuple4]]:
     items.sort()
     return items
 
-
-def exhaustive_order(degree: int) -> list[tuple[int, Tuple4]]:
-    """(family index, target) pairs for every equation at this degree."""
-    items = []
-    for idx, fam in enumerate(equation_families()):
-        w = fam.target_weight(degree)
-        if w < 0:
-            continue
-        for t in tuples_of_weight(w):
-            items.append((idx, t))
-    return items

@@ -192,6 +192,22 @@ def test_cache_import_unreadable_path_usage_error(capsys, tmp_path):
         assert "Traceback" not in err
 
 
+def test_cache_write_to_missing_directory_usage_error(capsys, tmp_path):
+    path = str(tmp_path / "missing" / "x.gw24")
+    for argv in (
+        ("cache", "export", "--cache-path", path, "--max-degree", "1"),
+        ("table", "--max-degree", "1", "--cache-path", path),
+        ("invariant", "5", "0", "0", "0", "1", "--cache-path", path),
+        ("verify", "--max-degree", "1", "--cache-path", path),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 1, argv
+        assert out == ""
+        assert err.startswith("usage error: cannot write cache file"), argv
+        assert "Traceback" not in err
+    assert not (tmp_path / "missing").exists()
+
+
 def test_usage_error_unknown_command(capsys):
     code, _out, err = run(capsys, "frobnicate")
     assert code == 1

@@ -10,12 +10,11 @@ degrees.
 import pytest
 
 from gw24.engine import Engine, MissingValueError
-from gw24.keys import InvariantKey
+from gw24.keys import tuples_of_weight
 from gw24.wdvv import (
     PsiCalculator,
     build_equation,
     equation_families,
-    exhaustive_order,
     solve_order,
 )
 
@@ -67,10 +66,10 @@ def test_divisor_point_relation_degree1(engine2):
     eq = build_equation(family((1, 1, 2, 2)), (2, 0, 0, 0), 1, psi)
     assert eq.quadruple == (1, 1, 2, 2)
     assert dict(eq.terms) == {
-        InvariantKey(5, 0, 0, 0, 1): 1,
-        InvariantKey(4, 1, 0, 0, 1): 1,
-        InvariantKey(2, 0, 0, 1, 1): 1,
-        InvariantKey(3, 0, 1, 0, 1): -2,
+        (5, 0, 0, 0): 1,
+        (4, 1, 0, 0): 1,
+        (2, 0, 0, 1): 1,
+        (3, 0, 1, 0): -2,
     }
     assert eq.constant == 0  # no degree splits below degree 1
 
@@ -80,10 +79,10 @@ def test_point_count_relation_degree2(engine2):
     psi = PsiCalculator(engine2.store.raw_tables())
     eq = build_equation(family((1, 1, 2, 2)), (6, 0, 0, 0), 2, psi)
     assert dict(eq.terms) == {
-        InvariantKey(9, 0, 0, 0, 2): 1,
-        InvariantKey(8, 1, 0, 0, 2): 1,
-        InvariantKey(6, 0, 0, 1, 2): 4,
-        InvariantKey(7, 0, 1, 0, 2): -4,
+        (9, 0, 0, 0): 1,
+        (8, 1, 0, 0): 1,
+        (6, 0, 0, 1): 4,
+        (7, 0, 1, 0): -4,
     }
     # every split here lands on a vanishing degree-1 value
     assert eq.constant == 0
@@ -95,7 +94,7 @@ def test_symmetric_target_merges_to_unit(engine2):
     # hand over the nine splittings of (2,2) into degree-1 pairs.
     psi = PsiCalculator(engine2.store.raw_tables())
     eq = build_equation(family((2, 2, 3, 3)), (2, 2, 0, 0), 2, psi)
-    assert eq.terms == ((InvariantKey(4, 2, 0, 1, 2), 2),)
+    assert eq.terms == (((4, 2, 0, 1), 2),)
     assert eq.constant == -10
     assert engine2.invariant(4, 2, 0, 1, 2) == 5
 
@@ -105,7 +104,7 @@ def test_seed_forcing_equation(engine2):
     # two-point-conditions-plus-line seed to vanish
     psi = PsiCalculator(engine2.store.raw_tables())
     eq = build_equation(family((2, 2, 3, 3)), (0, 0, 0, 0), 1, psi)
-    assert eq.terms == ((InvariantKey(2, 0, 0, 1, 1), 2),)
+    assert eq.terms == (((2, 0, 0, 1), 2),)
     assert eq.constant == 0
 
 
@@ -113,32 +112,38 @@ def test_degree1_unknowns_all_have_weight_five():
     # spec of the generator: at degree 1 every unknown in every emitted
     # relation is a degree-1 key of weight 5
     eng = Engine()
-    for eq in eng.generate_equations(1, policy="exhaustive"):
-        for key, coeff in eq.terms:
-            assert key.degree == 1
-            assert key.weight == 5
+    for eq in eng.generate_equations(1):
+        assert eq.degree == 1
+        for (a, b, g, e), coeff in eq.terms:
+            assert a + b + 2 * g + 3 * e == 5
+            assert a >= b
             assert coeff != 0
 
 
 def test_target_weight_class():
     # every relation of a family lives in the single weight class
     # 4d + 4 - total codim
+    eng = Engine()
+    eng.solve_up_to(1)
+    by_quadruple = {f.quadruple: f for f in equation_families()}
     for degree in (1, 2):
-        fams = equation_families()
-        for fam_idx, target in exhaustive_order(degree):
-            fam = fams[fam_idx]
-            a, b, g, e = target
-            assert a + b + 2 * g + 3 * e == fam.target_weight(degree)
+        for eq in eng.generate_equations(degree):
+            a, b, g, e = eq.target
+            weight = by_quadruple[eq.quadruple].target_weight(degree)
+            assert a + b + 2 * g + 3 * e == weight
 
 
 def test_generate_equations_counts_regression():
     eng = Engine()
     eng.solve_up_to(2)
-    count1 = sum(1 for _ in eng.generate_equations(1, policy="exhaustive"))
-    count2 = sum(1 for _ in eng.generate_equations(2, policy="exhaustive"))
+    count1 = sum(1 for _ in eng.generate_equations(1))
+    count2 = sum(1 for _ in eng.generate_equations(2))
     assert count1 == 29  # regression values produced by this generator
     assert count2 == 372
-    assert len(exhaustive_order(1)) == count1
+    # one relation per family and target of its weight class
+    assert count1 == sum(
+        len(tuples_of_weight(f.target_weight(1))) for f in equation_families()
+    )
     # the solve stream is a subset ordering of the same relations
     assert len(solve_order(1)) <= count1
 
@@ -148,8 +153,8 @@ def test_generate_equations_satisfied_by_solution():
     eng.solve_up_to(2)
     for degree in (1, 2):
         raw = eng.store.raw_table(degree)
-        for eq in eng.generate_equations(degree, policy="exhaustive"):
-            assert eq.residual(lambda k: raw[k[:4]]) == 0, (eq.quadruple, eq.target)
+        for eq in eng.generate_equations(degree):
+            assert eq.residual(raw) == 0, (eq.quadruple, eq.target)
 
 
 def test_constant_paths_agree():
@@ -164,8 +169,6 @@ def test_constant_paths_agree():
         w = fam.target_weight(3)
         if w < 0:
             continue
-        from gw24.keys import tuples_of_weight
-
         for _sign, sigma1, sigma2 in fam.quantum:
             pair = tuple(sorted((sigma1, sigma2)))
             if pair in seen:
