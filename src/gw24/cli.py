@@ -79,7 +79,12 @@ def build_parser() -> _Parser:
         help="re-check every relation individually instead of re-deriving "
              "each degree and comparing",
     )
-    ver.add_argument("--workers", type=int, default=1)
+    ver.add_argument(
+        "--workers", type=int, default=1,
+        help="processes for the series convolutions of --exhaustive; "
+             "the default check re-derives each degree serially and "
+             "ignores it",
+    )
     ver.add_argument("--cache-path")
     ver.add_argument("--format", choices=("text", "json"), default="text")
     ver.set_defaults(func=cmd_verify)

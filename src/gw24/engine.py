@@ -37,6 +37,7 @@ from .wdvv import (
     Tuple4,
     WdvvEquation,
     build_equation,
+    dual_pair,
     equation_families,
     solve_order,
 )
@@ -413,10 +414,18 @@ def _worker_series(job):
 
 
 def _prefill_series(psi: PsiCalculator, max_degree: int, workers: int) -> None:
-    """Compute the product series on a process pool (pure, read-only)."""
+    """Compute the product series on a process pool (pure, read-only).
+
+    Only the representative of each dual orbit goes to the pool; the
+    serial check derives the mirrored series from it on first use.
+    """
     import multiprocessing as mp
 
-    jobs = _conv_jobs(max_degree)
+    jobs = [
+        (degree, s1, s2)
+        for degree, s1, s2 in _conv_jobs(max_degree)
+        if (s1, s2) <= dual_pair(s1, s2)
+    ]
     ctx = mp.get_context()
     with ctx.Pool(workers, initializer=_worker_init,
                   initargs=(psi.tables,)) as pool:

@@ -21,7 +21,12 @@ Structure exploited throughout this module:
   than over a global box;
 * a derivative in y1 multiplies a quantum term by its curve degree, and a
   derivative in y0 kills it, so the divisor and fundamental-class rules
-  are built into the coefficient extraction.
+  are built into the coefficient extraction;
+* G(2,4) is self-dual, and the duality swaps Ta and Tb while fixing the
+  other classes, so N(a,b,g,e;d) = N(b,a,g,e;d) and a product series
+  over the triples (sigma1, sigma2) is the series over their duals with
+  the alpha and beta exponents swapped: only one pair of each dual orbit
+  is ever convolved.
 
 All arithmetic is exact integer arithmetic.
 """
@@ -42,6 +47,9 @@ QUANTUM_CLASSES = (1, 2, 3, 4, 5)
 
 # Oriented index pairs (e, f) with g^{ef} = 1.
 ORIENTED_PAIRS = ((0, 5), (5, 0), (1, 4), (4, 1), (2, 2), (3, 3))
+
+# The duality of G(2,4) on basis indices: Ta <-> Tb, every other class fixed.
+DUAL = (0, 1, 3, 2, 4, 5)
 
 Pair = tuple[int, int]
 Pairing = tuple[Pair, Pair]
@@ -64,6 +72,26 @@ def triple_info(sigma: Triple):
 
 def shift_weight(shift: Tuple4) -> int:
     return shift[0] + shift[1] + 2 * shift[2] + 3 * shift[3]
+
+
+def dual_pair(sigma1: Triple, sigma2: Triple) -> tuple[Triple, Triple]:
+    """The sorted pair of the dual triples of ``sigma1`` and ``sigma2``."""
+    dual1 = tuple(sorted(DUAL[i] for i in sigma1))
+    dual2 = tuple(sorted(DUAL[i] for i in sigma2))
+    return (dual1, dual2) if dual1 <= dual2 else (dual2, dual1)
+
+
+@lru_cache(maxsize=None)
+def pascal_row(n: int) -> tuple[int, ...]:
+    """Row n of Pascal's triangle: ``pascal_row(n)[k] == comb(n, k)``."""
+    return tuple(comb(n, k) for k in range(n + 1))
+
+
+@lru_cache(maxsize=None)
+def pascal_column(k: int, n: int) -> tuple[int, ...]:
+    """Column k of Pascal's triangle down to row k + n:
+    ``pascal_column(k, n)[j] == comb(k + j, k)`` for j <= n."""
+    return tuple(comb(k + j, k) for j in range(n + 1))
 
 
 @dataclass(frozen=True)
@@ -197,14 +225,18 @@ class PsiCalculator:
 
     ``tables`` maps each solved degree to its raw table {(a,b,g,d): value}
     containing every valid exponent tuple of that degree in both symmetry
-    orientations.  ``shifted_items`` reindexes one degree's nonzero values
-    by the target monomials a quantum third partial feeds, which is both
-    a factor of the products below and a relation's cross part at its own
-    degree.  Two evaluation modes for the products: ``at`` enumerates the
-    splittings of a single target (cheap for one equation), ``series``
-    convolves whole degree tables (cheap when a family needs every target
-    of its weight class).  All are pure given the tables and memoized, so
-    instances may be shared by concurrent readers once built.
+    orientations, with equal values (the Ta <-> Tb duality).
+    ``shifted_items`` reindexes one degree's nonzero values by the target
+    monomials a quantum third partial feeds, which is both a factor of the
+    products below and a relation's cross part at its own degree.  Two
+    evaluation modes for the products: ``at`` enumerates the splittings of
+    a single target (cheap for one equation), ``series`` convolves whole
+    degree tables (cheap when a family needs every target of its weight
+    class) and derives a pair's series from its dual pair's by swapping
+    alpha and beta, so each dual orbit is convolved once.  Binomials come
+    from the cached Pascal rows and columns.  All are pure given the
+    tables and memoized, so instances may be shared by concurrent readers
+    once built.
     """
 
     def __init__(self, tables: dict[int, dict[Tuple4, int]]):
@@ -244,10 +276,15 @@ class PsiCalculator:
         ta, tb, tg, td = target
         s1a, s1b, s1g, s1d = shift1
         s2a, s2b, s2g, s2d = shift2
+        row_a, row_b = pascal_row(ta), pascal_row(tb)
+        row_g, row_d = pascal_row(tg), pascal_row(td)
+        # d1**n1 * d2**n2, indexed by the first factor's degree d1.
+        dpow = [d1**n1 * (degree - d1) ** n2 for d1 in range(degree)]
         tables = self.tables
         total = 0
         for d1v in range(td + 1):
             for g1 in range(tg + 1):
+                wgd = row_g[g1] * row_d[d1v]
                 for b1 in range(tb + 1):
                     base = b1 + 2 * g1 + 3 * d1v + w1
                     # a1 must make the first factor a valid key of some
@@ -257,21 +294,18 @@ class PsiCalculator:
                     start = max(lo, 0)
                     rem = (1 - base - start) % 4
                     start += rem
-                    wb = comb(tb, b1) * comb(tg, g1) * comb(td, d1v)
+                    wb = row_b[b1] * wgd
                     for a1 in range(start, hi + 1, 4):
                         d1 = (base + a1 - 1) // 4
                         v1 = tables[d1].get((a1 + s1a, b1 + s1b, g1 + s1g, d1v + s1d))
                         if not v1:
                             continue
-                        d2 = degree - d1
-                        v2 = tables[d2].get(
+                        v2 = tables[degree - d1].get(
                             (ta - a1 + s2a, tb - b1 + s2b, tg - g1 + s2g, td - d1v + s2d)
                         )
                         if not v2:
                             continue
-                        total += (
-                            comb(ta, a1) * wb * (d1**n1) * (d2**n2) * v1 * v2
-                        )
+                        total += row_a[a1] * wb * dpow[d1] * v1 * v2
         return total
 
     def series(self, sigma1: Triple, sigma2: Triple, degree: int) -> dict[Tuple4, int]:
@@ -282,8 +316,16 @@ class PsiCalculator:
         cached = self._series.get(memo_key)
         if cached is not None:
             return cached
+        dual = dual_pair(sigma1, sigma2)
+        if dual < (sigma1, sigma2):
+            rep = self.series(*dual, degree)
+            out = {(b, a, g, e): v for (a, b, g, e), v in rep.items()}
+            self._series[memo_key] = out
+            return out
         out: dict[Tuple4, int] = {}
         get = out.get
+        # Every exponent of a key below ``degree`` is at most 4 * degree.
+        n = 4 * degree
         for d1 in range(1, degree):
             items1 = self.shifted_items(d1, sigma1)
             if not items1:
@@ -292,15 +334,13 @@ class PsiCalculator:
             if not items2:
                 continue
             for a1, b1, g1, e1, v1 in items1:
+                col_a, col_b = pascal_column(a1, n), pascal_column(b1, n)
+                col_g, col_e = pascal_column(g1, n), pascal_column(e1, n)
                 for a2, b2, g2, e2, v2 in items2:
                     t = (a1 + a2, b1 + b2, g1 + g2, e1 + e2)
-                    w = (
-                        comb(t[0], a1)
-                        * comb(t[1], b1)
-                        * comb(t[2], g1)
-                        * comb(t[3], e1)
+                    out[t] = get(t, 0) + (
+                        col_a[a2] * col_b[b2] * col_g[g2] * col_e[e2] * v1 * v2
                     )
-                    out[t] = get(t, 0) + w * v1 * v2
         self._series[memo_key] = out
         return out
 

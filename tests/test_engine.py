@@ -21,7 +21,13 @@ from gw24.keys import (
     valid_tuples,
 )
 from gw24.schubert import seed_invariants
-from gw24.wdvv import PsiCalculator, build_equation, equation_families
+from gw24.wdvv import (
+    DUAL,
+    PsiCalculator,
+    build_equation,
+    dual_pair,
+    equation_families,
+)
 
 
 @pytest.fixture(scope="module")
@@ -319,6 +325,39 @@ def test_mutation_is_detected(engine4):
             assert not report.ok, (key, delta)
             v = report.violations[0]
             assert v.degree == 3
+
+
+def test_mutation_violations_are_closed_under_duality(engine4):
+    # a wrong degree-2 value reaches the degree-3 and degree-4 constants
+    # through mirrored series as well as convolved ones: relation F at
+    # target t is violated exactly when the dual relation is violated at
+    # the dual target, by the same amount up to sign
+    tables = {d: dict(engine4.store.canonical_table(d)) for d in (1, 2, 3, 4)}
+    tables[2][(9, 0, 0, 0)] += 1
+    store = InvariantStore()
+    for d in (1, 2, 3, 4):
+        store.commit_degree(d, tables[d])
+    report = verify_store(store, 4, exhaustive=True)
+    assert {3, 4} <= {v.degree for v in report.violations}
+
+    def relation(classes, pairings):
+        return tuple(sorted(classes)), frozenset(pairings)
+
+    by_quadruple = {
+        f.quadruple: relation(f.classes, (f.positive, f.negative))
+        for f in equation_families()
+    }
+    found = {
+        (v.degree, by_quadruple[v.quadruple], v.target, abs(v.residual))
+        for v in report.violations
+    }
+    mirrored = set()
+    for degree, (classes, pairings), (a, b, g, e), r in found:
+        dual_relation = relation(
+            (DUAL[c] for c in classes), (dual_pair(*p) for p in pairings)
+        )
+        mirrored.add((degree, dual_relation, (b, a, g, e), r))
+    assert mirrored == found
 
 
 def test_verify_requires_solved_degrees():

@@ -7,15 +7,21 @@ quantum third-partials give binomially weighted splittings over lower
 degrees.
 """
 
+from math import comb
+
 import pytest
 
-from gw24.engine import Engine, MissingValueError
+from gw24.engine import Engine, MissingValueError, _conv_jobs
 from gw24.keys import tuples_of_weight
 from gw24.wdvv import (
     PsiCalculator,
     build_equation,
+    dual_pair,
     equation_families,
+    pascal_column,
+    pascal_row,
     solve_order,
+    triple_info,
 )
 
 
@@ -180,6 +186,56 @@ def test_constant_paths_agree():
                     target, 0
                 ), (sigma1, sigma2, target)
     assert seen
+
+
+def test_pascal_tables_match_comb():
+    # every binomial comb(n, k) with n <= 60, read as a row and as a column
+    for n in range(61):
+        assert pascal_row(n) == tuple(comb(n, k) for k in range(n + 1))
+        assert pascal_column(n, 60 - n) == tuple(
+            comb(n + j, n) for j in range(61 - n)
+        )
+
+
+def naive_series(tables, sigma1, sigma2, degree):
+    """The product series straight from its definition: every pair of
+    lower-degree keys that dominate the two triples' shifts, weighted by
+    binomials from math.comb."""
+
+    def factor(d, sigma):
+        shift, n1, _alive = triple_info(sigma)
+        return [
+            (tuple(k - s for k, s in zip(key, shift)), v * d**n1)
+            for key, v in tables[d].items()
+            if v and all(k >= s for k, s in zip(key, shift))
+        ]
+
+    out = {}
+    for d1 in range(1, degree):
+        second = factor(degree - d1, sigma2)
+        for x1, v1 in factor(d1, sigma1):
+            for x2, v2 in second:
+                t = tuple(p + q for p, q in zip(x1, x2))
+                w = comb(t[0], x1[0]) * comb(t[1], x1[1])
+                w *= comb(t[2], x1[2]) * comb(t[3], x1[3])
+                out[t] = out.get(t, 0) + w * v1 * v2
+    return out
+
+
+def test_series_matches_naive_convolution():
+    # covers the convolved orbit representatives and the series derived
+    # from them by the Ta <-> Tb swap
+    eng = Engine()
+    eng.solve_up_to(4)
+    tables = eng.store.raw_tables()
+    psi = PsiCalculator(tables)
+    jobs = _conv_jobs(5)
+    mirrored = [j for j in jobs if dual_pair(j[1], j[2]) < j[1:]]
+    assert mirrored and len(mirrored) < len(jobs)
+    for degree, sigma1, sigma2 in jobs:
+        assert psi.series(sigma1, sigma2, degree) == naive_series(
+            tables, sigma1, sigma2, degree
+        ), (degree, sigma1, sigma2)
 
 
 def test_generate_equations_requires_lower_degrees():
