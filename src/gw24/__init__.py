@@ -9,7 +9,6 @@ from .cohomology import (
     codim,
     cup,
     pairing,
-    pairing_matrix,
     poincare_dual,
     triple,
 )
@@ -30,8 +29,6 @@ from .keys import (
     SeedSet,
     canonical_tuples,
     dimension_valid,
-    normalize,
-    reduce_divisor,
     valid_tuples,
 )
 from .schubert import (
@@ -74,12 +71,9 @@ __all__ = [
     "dimension_valid",
     "equation_families",
     "load_store",
-    "normalize",
     "pairing",
-    "pairing_matrix",
     "poincare_dual",
     "quantum_pieri",
-    "reduce_divisor",
     "save_store",
     "seed_invariants",
     "triple",

@@ -76,14 +76,13 @@ def build_parser() -> _Parser:
     ver.add_argument("--max-degree", type=int, default=3)
     ver.add_argument(
         "--exhaustive", action="store_true",
-        help="re-check every relation individually instead of re-deriving "
-             "each degree and comparing",
+        help="check every relation one by one instead of evaluating each "
+             "relation family at one random point modulo a random prime",
     )
     ver.add_argument(
         "--workers", type=int, default=1,
-        help="processes for the series convolutions of --exhaustive; "
-             "the default check re-derives each degree serially and "
-             "ignores it",
+        help="processes for the series convolutions of --exhaustive, at "
+             "most one per CPU; the default check is serial and ignores it",
     )
     ver.add_argument("--cache-path")
     ver.add_argument("--format", choices=("text", "json"), default="text")
@@ -107,9 +106,7 @@ def build_parser() -> _Parser:
 def _check_degree_gate(args) -> None:
     if args.max_degree < 1:
         raise UsageError("--max-degree must be >= 1")
-    if args.max_degree > GOLDEN_MAX_DEGREE and not getattr(
-        args, "allow_high_degree", False
-    ):
+    if args.max_degree > GOLDEN_MAX_DEGREE and not args.allow_high_degree:
         raise UsageError(
             f"degrees beyond {GOLDEN_MAX_DEGREE} have no reference data; "
             "pass --allow-high-degree to compute them anyway"

@@ -32,10 +32,6 @@ class Basis(IntEnum):
     T4 = 5
 
     @property
-    def codim(self) -> int:
-        return CODIM[self]
-
-    @property
     def label(self) -> str:
         return LABELS[self]
 
@@ -75,11 +71,6 @@ def pairing(i: Basis, j: Basis) -> int:
     """Intersection form g_ij."""
     key = (i, j) if i <= j else (j, i)
     return _PAIRING_NONZERO.get(key, 0)
-
-
-def pairing_matrix() -> list[list[int]]:
-    """The full 6x6 intersection form, row/column order T0,T1,Ta,Tb,T3,T4."""
-    return [[pairing(i, j) for j in Basis] for i in Basis]
 
 
 def triple(i: Basis, j: Basis, k: Basis) -> int:
@@ -133,9 +124,6 @@ class ClassCombination:
 
     def scaled(self, k: int) -> "ClassCombination":
         return ClassCombination({c: k * v for c, v in self.coeffs.items()})
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, ClassCombination) and self.coeffs == other.coeffs
 
     def __repr__(self) -> str:
         if not self.coeffs:

@@ -44,22 +44,6 @@ def normalize(key: InvariantKey) -> InvariantKey:
     return key
 
 
-def reduce_divisor(t1_count: int, key: InvariantKey) -> tuple[int, InvariantKey]:
-    """Strip ``t1_count`` divisor-class insertions from an invariant.
-
-    Each T1 insertion multiplies the count by the curve degree, so the
-    reduced invariant is degree**t1_count times the insertion-free one.
-    """
-    if t1_count < 0:
-        raise ValueError("t1_count must be nonnegative")
-    if key.degree < 1 and t1_count > 0:
-        raise ValueError(
-            "divisor reduction needs degree >= 1; degree-0 divisor insertions "
-            "are classical products, not handled here"
-        )
-    return key.degree**t1_count, key
-
-
 def valid_tuples(degree: int) -> list[tuple[int, int, int, int]]:
     """All exponent tuples of weight 4*degree+1, in lexicographic order."""
     return tuples_of_weight(4 * degree + 1)

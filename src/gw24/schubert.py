@@ -17,7 +17,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cohomology import Basis, ClassCombination
+from .cohomology import (Basis, ClassCombination, cup, cup_combination,
+                         pairing, triple)
 from .keys import InvariantKey, SeedSet
 
 Partition = tuple[int, ...]
@@ -49,10 +50,6 @@ _SPECIAL_POLY = {
 def _check_partition(lam: Partition) -> None:
     if lam not in CLASS_OF_PARTITION:
         raise ValueError(f"not a partition in the 2x2 box: {lam}")
-
-
-def _size(lam: Partition) -> int:
-    return sum(lam)
 
 
 def _pad(lam: Partition) -> tuple[int, int]:
@@ -126,7 +123,7 @@ def classical_triple_oracle(l1: Partition, l2: Partition, l3: Partition) -> int:
     """
     for lam in (l1, l2, l3):
         _check_partition(lam)
-    if _size(l1) + _size(l2) + _size(l3) != 4:
+    if sum(l1) + sum(l2) + sum(l3) != 4:
         return 0
     total = 0
     for (m2, n2), c2 in _SPECIAL_POLY[l2].items():
@@ -252,8 +249,6 @@ def classical_consistency_failures() -> list[str]:
     commutativity/associativity of the cup product.  Returns a list of
     human-readable failure descriptions; empty means consistent.
     """
-    from .cohomology import Basis, cup, cup_combination, pairing, triple
-
     failures = []
     for i in Basis:
         for j in Basis:

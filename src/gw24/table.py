@@ -48,14 +48,14 @@ def build_rows(engine, max_degree: int, with_nd: bool = False) -> list[DegreeTab
         raise ValueError("max_degree must be >= 1")
     rows = []
     for d in range(1, max_degree + 1):
-        q = engine.q_number(d)
+        n_d = engine.ruled_surface_degree(d)
         rows.append(
             DegreeTableRow(
                 d=d,
-                q_d=q,
+                q_d=engine.q_number(d),
                 n_points=4 * d + 1,
-                n_d=d**3 * q if with_nd else None,
-                caveat=d < 3,
+                n_d=n_d.value if with_nd else None,
+                caveat=n_d.caveat,
             )
         )
     return rows

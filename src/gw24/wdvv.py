@@ -70,10 +70,6 @@ def triple_info(sigma: Triple):
     return shift, sigma.count(1), 0 not in sigma
 
 
-def shift_weight(shift: Tuple4) -> int:
-    return shift[0] + shift[1] + 2 * shift[2] + 3 * shift[3]
-
-
 def dual_pair(sigma1: Triple, sigma2: Triple) -> tuple[Triple, Triple]:
     """The sorted pair of the dual triples of ``sigma1`` and ``sigma2``."""
     dual1 = tuple(sorted(DUAL[i] for i in sigma1))
@@ -272,9 +268,9 @@ class PsiCalculator:
         shift2, n2, _alive2 = triple_info(sigma2)
         if degree < 2:
             return 0
-        w1 = shift_weight(shift1)
         ta, tb, tg, td = target
         s1a, s1b, s1g, s1d = shift1
+        w1 = s1a + s1b + 2 * s1g + 3 * s1d
         s2a, s2b, s2g, s2d = shift2
         row_a, row_b = pascal_row(ta), pascal_row(tb)
         row_g, row_d = pascal_row(tg), pascal_row(td)

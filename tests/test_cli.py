@@ -143,6 +143,17 @@ def test_verify_json_format(capsys, cache3):
     }
 
 
+def test_verify_json_same_with_and_without_exhaustive(capsys, cache3):
+    _code, default, _err = run(capsys, "verify", "--format", "json",
+                               "--cache-path", cache3)
+    code, exhaustive, _err = run(capsys, "verify", "--format", "json",
+                                 "--exhaustive", "--cache-path", cache3)
+    assert code == 0
+    assert default == exhaustive
+    checks = {c["check"]: c for c in json.loads(default)["checks"]}
+    assert checks["wdvv-relations"]["equations_checked"] == 1981
+
+
 def test_verify_corrupted_cache_exits_2(capsys, cache3, tmp_path):
     corrupted = tmp_path / "bad.gw24"
     text = open(cache3).read().replace(" 3 504", " 3 505")

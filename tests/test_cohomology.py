@@ -5,7 +5,6 @@ from gw24.cohomology import (
     cup,
     cup_combination,
     pairing,
-    pairing_matrix,
     poincare_dual,
     triple,
 )
@@ -34,7 +33,7 @@ def test_pairing_table():
 
 
 def test_pairing_symmetric_and_self_inverse():
-    g = pairing_matrix()
+    g = [[pairing(i, j) for j in Basis] for i in Basis]
     assert g == [list(col) for col in zip(*g)]
     n = len(g)
     square = [

@@ -1,10 +1,14 @@
 import multiprocessing
+import os
 import random
 import threading
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from gw24 import engine as engine_module
 from gw24.engine import (
     Engine,
     InconsistencyError,
@@ -264,26 +268,26 @@ def test_quantum_pieri_matches_solved_divisor_reductions(engine4):
     # the q-coefficients of the Pieri table are divisor-reduced two-point
     # counts; compare them against the solved store rather than the seeds
     from gw24.cohomology import Basis
-    from gw24.keys import reduce_divisor
     from gw24.schubert import quantum_pieri
 
-    factor, key = reduce_divisor(1, InvariantKey(0, 0, 1, 1, 1))
-    stored = factor * engine4.store.value(key)
+    # the one T1 insertion contributes a factor of the curve degree
+    key = InvariantKey(0, 0, 1, 1, 1)
+    stored = key.degree * engine4.store.value(key)
     top = quantum_pieri((2, 1))
     assert top.q_part.coefficient(Basis.T0) == stored
     point = quantum_pieri((2, 2))
     assert point.q_part.coefficient(Basis.T1) == stored
 
 
-def test_verify_lean_policy(engine4):
+def test_verify_point_check(engine4):
     report = engine4.verify_wdvv(3, exhaustive=False)
     assert report.ok
-    # degree 1 replays its 24 relations; degrees 2 and 3 count the
-    # relations their re-solve assembled (regression value)
-    assert report.equations_checked == 343
+    # every relation is covered, as in the exhaustive check
+    assert report.equations_checked == 1981
+    assert report == engine4.verify_wdvv(3, exhaustive=True)
 
 
-def test_verify_lean_policy_detects_mutation(engine4):
+def test_verify_point_check_detects_mutation(engine4):
     tables = {d: dict(engine4.store.canonical_table(d)) for d in (1, 2, 3)}
     tables[2][(9, 0, 0, 0)] = 3
     store = InvariantStore()
@@ -291,10 +295,52 @@ def test_verify_lean_policy_detects_mutation(engine4):
         store.commit_degree(d, tables[d])
     report = verify_store(store, 3, exhaustive=False)
     assert not report.ok
-    # degree 2 is flagged by its own relations, and degree 3 because it is
-    # re-derived from the stored, mutated degree 2 (regression values)
-    assert report.equations_checked == 2083
+    # degree 2 is flagged by its own relations, and degree 3 because its
+    # constants are built from the stored, mutated degree 2; the flagged
+    # degrees are then checked relation by relation (regression values)
+    assert report.equations_checked == 1981
     assert Counter(v.degree for v in report.violations) == {2: 2, 3: 114}
+    assert report == verify_store(store, 3, exhaustive=True)
+
+
+@pytest.fixture(scope="module")
+def tables5():
+    eng = Engine()
+    eng.solve_up_to(5)
+    return {d: eng.store.canonical_table(d) for d in range(1, 6)}
+
+
+@settings(max_examples=10, deadline=None, database=None)
+@given(data=st.data())
+def test_point_check_flags_every_single_value_mutation(tables5, data):
+    degree = data.draw(st.integers(1, 5), label="degree")
+    key = data.draw(st.sampled_from(sorted(tables5[degree])), label="key")
+    for delta in (1, -1, 2**61 - 1):
+        value = tables5[degree][key] + delta
+        if value < 0:
+            continue
+        store = InvariantStore()
+        for d in range(1, degree + 1):
+            table = dict(tables5[d])
+            if d == degree:
+                table[key] = value
+            store.commit_degree(d, table)
+        report = verify_store(store, degree, exhaustive=False)
+        assert not report.ok, (degree, key, delta)
+        assert report == verify_store(store, degree, exhaustive=True)
+
+
+def test_miller_rabin_matches_sympy():
+    from sympy import isprime
+
+    rng = random.Random(7)
+    # Carmichael numbers, a strong pseudoprime to bases 2, 3, 5 and 7, and
+    # the primes and composites next to 2**61
+    numbers = [561, 41041, 825265, 3215031751, 2**61 - 1, 2**61 + 1]
+    numbers += list(range(2000))
+    numbers += [rng.getrandbits(61) | 1 for _ in range(300)]
+    for n in numbers:
+        assert engine_module._is_prime(n) == isprime(n), n
 
 
 def test_verify_exhaustive_matches_per_equation_replay(engine4):
@@ -386,3 +432,33 @@ def test_workers_verify_matches_serial_under_spawn(engine4, monkeypatch):
     monkeypatch.setattr(multiprocessing, "get_context", get_context)
     serial = verify_store(engine4.store, 3, workers=1)
     assert verify_store(engine4.store, 3, workers=2) == serial
+
+
+def test_workers_are_capped_at_the_cpu_count(engine4, monkeypatch):
+    # a fake context records the requested pool size and runs the jobs in
+    # this process, so no worker is ever started
+    requested = []
+
+    class InlinePool:
+        def __init__(self, size, initializer, initargs):
+            requested.append(size)
+            initializer(*initargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def imap_unordered(self, func, jobs, chunksize=1):
+            return map(func, jobs)
+
+    class InlineContext:
+        Pool = InlinePool
+
+    monkeypatch.setattr(multiprocessing, "get_context",
+                        lambda method=None: InlineContext())
+    monkeypatch.setattr(engine_module, "_WORKER_PSI", None)
+    serial = verify_store(engine4.store, 3, workers=1)
+    assert verify_store(engine4.store, 3, workers=1_000_000) == serial
+    assert requested == [os.cpu_count() or 1]

@@ -1,11 +1,8 @@
-import pytest
-
 from gw24.keys import (
     InvariantKey,
     canonical_tuples,
     dimension_valid,
     normalize,
-    reduce_divisor,
     tuples_of_weight,
     valid_tuples,
 )
@@ -24,21 +21,6 @@ def test_normalize():
     assert normalize(InvariantKey(5, 0, 0, 0, 1)) == InvariantKey(5, 0, 0, 0, 1)
     assert normalize(InvariantKey(2, 2, 1, 2, 3)) == InvariantKey(2, 2, 1, 2, 3)
     assert normalize(InvariantKey(1, 3, 2, 0, 2)).gamma == 2
-
-
-def test_reduce_divisor():
-    key = InvariantKey(13, 0, 0, 0, 3)
-    assert reduce_divisor(3, key) == (27, key)
-    key1 = InvariantKey(5, 0, 0, 0, 1)
-    assert reduce_divisor(0, key1) == (1, key1)
-    assert reduce_divisor(1, key1) == (1, key1)
-
-
-def test_reduce_divisor_rejects_degree_zero():
-    with pytest.raises(ValueError):
-        reduce_divisor(1, InvariantKey(1, 0, 0, 0, 0))
-    with pytest.raises(ValueError):
-        reduce_divisor(-1, InvariantKey(5, 0, 0, 0, 1))
 
 
 def test_valid_tuples_weight_and_counts():
