@@ -393,8 +393,8 @@ def _conv_jobs(max_degree: int):
         for fam in equation_families():
             if fam.target_weight(degree) < 0:
                 continue
-            for _sign, sigma1, sigma2 in fam.quantum:
-                jobs.add((degree, *sorted((sigma1, sigma2))))
+            for _coeff, sigma1, sigma2 in fam.quantum:
+                jobs.add((degree, sigma1, sigma2))
     return sorted(jobs)
 
 
@@ -486,9 +486,9 @@ def _check_degree_relations(degree: int, psi: PsiCalculator) -> list[Violation]:
             for a, b, g, e, v in psi.shifted_items(degree, sigma):
                 t = (a, b, g, e)
                 residual[t] = get(t, 0) + coeff * v
-        for sign, sigma1, sigma2 in fam.quantum:
+        for coeff, sigma1, sigma2 in fam.quantum:
             for t, v in psi.series(sigma1, sigma2, degree).items():
-                residual[t] = get(t, 0) + sign * v
+                residual[t] = get(t, 0) + coeff * v
         for t, v in sorted(residual.items()):
             if v:
                 violations.append(Violation(degree, fam.quadruple, t, v))
@@ -544,8 +544,8 @@ def _degrees_failing_at_a_point(psi: PsiCalculator, max_degree: int) -> set[int]
                 continue
             total = sum(c * egf(degree, sigma) for c, sigma, _s, _n1 in fam.cross)
             total += sum(
-                sign * egf(d1, sigma1) * egf(degree - d1, sigma2)
-                for sign, sigma1, sigma2 in fam.quantum
+                coeff * egf(d1, sigma1) * egf(degree - d1, sigma2)
+                for coeff, sigma1, sigma2 in fam.quantum
                 for d1 in range(1, degree)
             )
             if total % p:

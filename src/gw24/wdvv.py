@@ -26,7 +26,12 @@ Structure exploited throughout this module:
   other classes, so N(a,b,g,e;d) = N(b,a,g,e;d) and a product series
   over the triples (sigma1, sigma2) is the series over their duals with
   the alpha and beta exponents swapped: only one pair of each dual orbit
-  is ever convolved.
+  is ever convolved;
+* the weight condition ties alpha to beta once (gamma, delta) and the
+  degree are fixed, so a degree's table splits into weight lines indexed
+  by alpha, and the splittings of one target that share (gamma, delta) in
+  each factor and the first factor's degree form one contiguous window of
+  two lines: a single product constant is a sum of such dot products.
 
 All arithmetic is exact integer arithmetic.
 """
@@ -37,6 +42,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement
 from math import comb
+from operator import mul
 
 from .cohomology import CODIM, LABELS, triple
 from .keys import tuples_of_weight
@@ -109,7 +115,10 @@ class EquationFamily:
       sorted index triple ``sigma``, whose key shift and T1 count are
       ``triple_info(sigma)``;
     * ``quantum`` lists the quantum-times-quantum products, built from
-      lower degrees only, as (sign, sigma1, sigma2).
+      lower degrees only, as (coeff, sigma1, sigma2) with sigma1 <= sigma2.
+      The product is symmetric, so the terms of both pairings over the same
+      pair of triples are merged into one: ``coeff`` is the sum of their
+      signs, +-1 or +-2, and pairs whose signs cancel are dropped.
     """
 
     classes: Tuple4
@@ -166,6 +175,16 @@ def _pairing_structure(pairing: Pairing, sign: int):
     return cross, quantum
 
 
+def _merge_quantum(terms) -> tuple[tuple[int, Triple, Triple], ...]:
+    """Sum the signs of terms over the same unordered pair of triples (the
+    product is symmetric) and drop the pairs that cancel."""
+    merged: dict[tuple[Triple, Triple], int] = {}
+    for sign, sigma1, sigma2 in terms:
+        pair = (sigma1, sigma2) if sigma1 <= sigma2 else (sigma2, sigma1)
+        merged[pair] = merged.get(pair, 0) + sign
+    return tuple((c, s1, s2) for (s1, s2), c in merged.items() if c)
+
+
 @lru_cache(maxsize=1)
 def equation_families() -> tuple[EquationFamily, ...]:
     """All associativity relations, in a fixed deterministic order.
@@ -188,7 +207,7 @@ def equation_families() -> tuple[EquationFamily, ...]:
                     quadruple=_resolve_quadruple(pos, neg),
                     codim_total=sum(CODIM[c] for c in ms),
                     cross=tuple(cross_pos + cross_neg),
-                    quantum=tuple(quantum_pos + quantum_neg),
+                    quantum=_merge_quantum(quantum_pos + quantum_neg),
                 )
             )
     return tuple(fams)
@@ -224,21 +243,24 @@ class PsiCalculator:
     orientations, with equal values (the Ta <-> Tb duality).
     ``shifted_items`` reindexes one degree's nonzero values by the target
     monomials a quantum third partial feeds, which is both a factor of the
-    products below and a relation's cross part at its own degree.  Two
-    evaluation modes for the products: ``at`` enumerates the splittings of
-    a single target (cheap for one equation), ``series`` convolves whole
-    degree tables (cheap when a family needs every target of its weight
-    class) and derives a pair's series from its dual pair's by swapping
-    alpha and beta, so each dual orbit is convolved once.  Binomials come
-    from the cached Pascal rows and columns.  All are pure given the
-    tables and memoized, so instances may be shared by concurrent readers
-    once built.
+    products below and a relation's cross part at its own degree.
+    ``weight_lines`` reindexes one degree's table as tuples of values
+    indexed by alpha, one per (gamma, delta).  Two evaluation modes for
+    the products: ``at`` sums the splittings of a single target as dot
+    products over windows of weight lines and Pascal rows (cheap for one
+    equation), ``series`` convolves whole degree tables (cheap when a
+    family needs every target of its weight class) and derives a pair's
+    series from its dual pair's by swapping alpha and beta, so each dual
+    orbit is convolved once.  Binomials come from the cached Pascal rows
+    and columns.  All are pure given the tables and memoized, so instances
+    may be shared by concurrent readers once built.
     """
 
     def __init__(self, tables: dict[int, dict[Tuple4, int]]):
         self.tables = tables
         self._items: dict[tuple[int, Triple], list] = {}
         self._series: dict[tuple[int, Triple, Triple], dict[Tuple4, int]] = {}
+        self._lines: dict[int, dict[tuple[int, int], tuple[int, ...]]] = {}
 
     def shifted_items(self, degree: int, sigma: Triple):
         """Nonzero degree-``degree`` values reindexed by target exponents.
@@ -261,47 +283,79 @@ class PsiCalculator:
         self._items[memo_key] = items
         return items
 
+    def weight_lines(self, degree: int) -> dict[tuple[int, int], tuple[int, ...]]:
+        """One degree's table as weight lines: (gamma, delta) -> the values
+        indexed by alpha, with beta = 4*degree + 1 - 2*gamma - 3*delta - alpha.
+
+        By the Ta <-> Tb duality the same tuple is also indexed by beta.
+        """
+        lines = self._lines.get(degree)
+        if lines is not None:
+            return lines
+        raw = self.tables[degree]
+        lines = {}
+        for e in range((4 * degree + 1) // 3 + 1):
+            for g in range((4 * degree + 1 - 3 * e) // 2 + 1):
+                r = 4 * degree + 1 - 2 * g - 3 * e
+                lines[(g, e)] = tuple(raw[(a, r - a, g, e)] for a in range(r + 1))
+        self._lines[degree] = lines
+        return lines
+
     def at(self, sigma1: Triple, sigma2: Triple, target: Tuple4, degree: int) -> int:
         """Coefficient of the target monomial in the product of the two
         quantum third-partial series, at total curve degree ``degree``."""
-        shift1, n1, _alive1 = triple_info(sigma1)
-        shift2, n2, _alive2 = triple_info(sigma2)
         if degree < 2:
             return 0
+        (s1a, s1b, s1g, s1d), n1, _alive1 = triple_info(sigma1)
+        (s2a, s2b, s2g, s2d), n2, _alive2 = triple_info(sigma2)
         ta, tb, tg, td = target
-        s1a, s1b, s1g, s1d = shift1
-        w1 = s1a + s1b + 2 * s1g + 3 * s1d
-        s2a, s2b, s2g, s2d = shift2
         row_a, row_b = pascal_row(ta), pascal_row(tb)
         row_g, row_d = pascal_row(tg), pascal_row(td)
+        lines = [None] + [self.weight_lines(d) for d in range(1, degree)]
         # d1**n1 * d2**n2, indexed by the first factor's degree d1.
         dpow = [d1**n1 * (degree - d1) ** n2 for d1 in range(degree)]
-        tables = self.tables
+        w1 = s1a + s1b + 2 * s1g + 3 * s1d
         total = 0
         for d1v in range(td + 1):
             for g1 in range(tg + 1):
+                # The first factor's key (a1, b1, g1, d1v) + shift1 has
+                # weight 4*d1 + 1, so a1 + b1 = r1 = 4*d1 - base; the second
+                # factor takes the rest, so 0 <= r1 <= ta + tb bounds d1.
+                base = w1 + 2 * g1 + 3 * d1v - 1
+                d1_lo = -(-base // 4) or 1
+                d1_hi = (ta + tb + base) // 4
+                if d1_hi >= degree:
+                    d1_hi = degree - 1
+                if d1_lo > d1_hi:
+                    continue
+                line1_key = (g1 + s1g, d1v + s1d)
+                line2_key = (tg - g1 + s2g, td - d1v + s2d)
                 wgd = row_g[g1] * row_d[d1v]
-                for b1 in range(tb + 1):
-                    base = b1 + 2 * g1 + 3 * d1v + w1
-                    # a1 must make the first factor a valid key of some
-                    # degree in [1, degree-1]: weight = 4 d1 + 1.
-                    lo = 5 - base
-                    hi = min(ta, 4 * (degree - 1) + 1 - base)
-                    start = max(lo, 0)
-                    rem = (1 - base - start) % 4
-                    start += rem
-                    wb = row_b[b1] * wgd
-                    for a1 in range(start, hi + 1, 4):
-                        d1 = (base + a1 - 1) // 4
-                        v1 = tables[d1].get((a1 + s1a, b1 + s1b, g1 + s1g, d1v + s1d))
-                        if not v1:
-                            continue
-                        v2 = tables[degree - d1].get(
-                            (ta - a1 + s2a, tb - b1 + s2b, tg - g1 + s2g, td - d1v + s2d)
-                        )
-                        if not v2:
-                            continue
-                        total += row_a[a1] * wb * dpow[d1] * v1 * v2
+                for d1 in range(d1_lo, d1_hi + 1):
+                    r1 = 4 * d1 - base
+                    line1 = lines[d1][line1_key]
+                    line2 = lines[degree - d1][line2_key]
+                    # a1 runs over the window [lo, hi] where a1 <= ta and
+                    # b1 = r1 - a1 lies in [0, tb].  The second factor's
+                    # b2 = tb - b1 = a1 + off rises with a1, comb(tb, b1) =
+                    # row_b[b2], and line2 is read at beta = b2 + s2b, so the
+                    # four factors are contiguous slices.
+                    lo = r1 - tb if r1 > tb else 0
+                    hi = r1 if r1 < ta else ta
+                    off = tb - r1
+                    if lo == hi:
+                        s = (row_a[lo] * row_b[lo + off]
+                             * line1[lo + s1a] * line2[lo + off + s2b])
+                    else:
+                        hi += 1
+                        s = sum(map(
+                            mul,
+                            map(mul, row_a[lo:hi], row_b[lo + off:hi + off]),
+                            map(mul, line1[lo + s1a:hi + s1a],
+                                line2[lo + off + s2b:hi + off + s2b]),
+                        ))
+                    if s:
+                        total += wgd * dpow[d1] * s
         return total
 
     def series(self, sigma1: Triple, sigma2: Triple, degree: int) -> dict[Tuple4, int]:
@@ -357,8 +411,8 @@ def build_equation(
         t = (a, b, tg + sg, td + se)
         terms[t] = terms.get(t, 0) + coeff * degree**n1
     constant = sum(
-        sign * psi.at(sigma1, sigma2, target, degree)
-        for sign, sigma1, sigma2 in family.quantum
+        coeff * psi.at(sigma1, sigma2, target, degree)
+        for coeff, sigma1, sigma2 in family.quantum
     )
     clean = tuple(sorted((k, c) for k, c in terms.items() if c != 0))
     return WdvvEquation(

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from gw24 import __version__
+from gw24 import __version__, schubert
 from gw24.cache import save_store
 from gw24.cli import main
 from gw24.engine import Engine
@@ -152,6 +152,35 @@ def test_verify_json_same_with_and_without_exhaustive(capsys, cache3):
     assert default == exhaustive
     checks = {c["check"]: c for c in json.loads(default)["checks"]}
     assert checks["wdvv-relations"]["equations_checked"] == 1981
+
+
+@pytest.mark.parametrize("max_degree", ["0", "1"])
+def test_verify_reports_failing_seed_table(capsys, monkeypatch, cache3,
+                                          max_degree):
+    # (1,0,2,0) = 2 breaks the associativity cross-check of the seeds; every
+    # engine is built from the seeds, so the engine checks are skipped
+    monkeypatch.setitem(schubert._SEED_TABLE, (1, 0, 2, 0), 2)
+    code, out, _err = run(capsys, "verify", "--max-degree", max_degree,
+                          "--cache-path", cache3)
+    assert code == 2
+    assert "classical-ring-vs-oracle: ok" in out
+    assert "seed-cross-checks: FAIL" in out
+    assert "associativity cross-check" in out
+    assert "wdvv-relations: skipped (the seed cross-checks failed)" in out
+    assert "golden-table: skipped (the seed cross-checks failed)" in out
+    code, out, _err = run(capsys, "verify", "--max-degree", max_degree,
+                          "--format", "json", "--cache-path", cache3)
+    assert code == 2
+    payload = json.loads(out)
+    assert payload["ok"] is False
+    checks = {c["check"]: c for c in payload["checks"]}
+    assert checks["classical-ring-vs-oracle"]["ok"] is True
+    assert checks["seed-cross-checks"]["ok"] is False
+    for name in ("wdvv-relations", "golden-table"):
+        assert checks[name] == {
+            "check": name, "ok": False, "failures": [],
+            "skipped": "the seed cross-checks failed",
+        }
 
 
 def test_verify_corrupted_cache_exits_2(capsys, cache3, tmp_path):

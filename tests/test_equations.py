@@ -7,6 +7,7 @@ quantum third-partials give binomially weighted splittings over lower
 degrees.
 """
 
+from collections import Counter
 from math import comb
 
 import pytest
@@ -15,6 +16,7 @@ from gw24.engine import Engine, MissingValueError, _conv_jobs
 from gw24.keys import tuples_of_weight
 from gw24.wdvv import (
     PsiCalculator,
+    _pairing_structure,
     build_equation,
     dual_pair,
     equation_families,
@@ -40,8 +42,6 @@ def test_family_count_regression():
 def test_family_shapes():
     fams = equation_families()
     # all-distinct quadruples give three relations, xxyz and xxyy one each
-    from collections import Counter
-
     per_multiset = Counter(f.classes for f in fams)
     for classes, count in per_multiset.items():
         distinct = len(set(classes))
@@ -55,6 +55,25 @@ def test_family_shapes():
 def test_unit_free():
     for fam in equation_families():
         assert 0 not in fam.classes
+
+
+def test_quantum_terms_merge_both_pairings():
+    # one term per unordered pair of triples, carrying the summed signs of
+    # both pairings' terms; pairs whose signs cancel are dropped
+    total = 0
+    for fam in equation_families():
+        expected = Counter()
+        for pairing, sign in ((fam.positive, 1), (fam.negative, -1)):
+            _cross, quantum = _pairing_structure(pairing, sign)
+            for s, sigma1, sigma2 in quantum:
+                expected[tuple(sorted((sigma1, sigma2)))] += s
+        got = {(sigma1, sigma2): c for c, sigma1, sigma2 in fam.quantum}
+        assert len(got) == len(fam.quantum)
+        assert all(sigma1 <= sigma2 for sigma1, sigma2 in got)
+        assert got == {pair: c for pair, c in expected.items() if c}
+        assert all(c in (-2, -1, 1, 2) for c in got.values())
+        total += len(got)
+    assert total == 411
 
 
 @pytest.fixture(scope="module")
@@ -236,6 +255,57 @@ def test_series_matches_naive_convolution():
         assert psi.series(sigma1, sigma2, degree) == naive_series(
             tables, sigma1, sigma2, degree
         ), (degree, sigma1, sigma2)
+
+
+@pytest.fixture(scope="module")
+def tables5():
+    eng = Engine()
+    eng.solve_up_to(5)
+    return eng.store.raw_tables()
+
+
+@pytest.mark.parametrize("degree", [2, 3, 4, 5, 6])
+def test_at_matches_naive_series(tables5, degree):
+    # every quantum pair of every family at every target of its weight
+    # class; the mirror of a dual orbit's representative is read from the
+    # representative's naive series with alpha and beta swapped, as the
+    # tables are symmetric under Ta <-> Tb
+    psi = PsiCalculator(tables5)
+    pairs = {
+        (sigma1, sigma2): fam.target_weight(degree)
+        for fam in equation_families()
+        if fam.target_weight(degree) >= 0
+        for _coeff, sigma1, sigma2 in fam.quantum
+    }
+    naive = {}
+    beta_zero_hits = 0
+    for (sigma1, sigma2), w in sorted(pairs.items()):
+        rep = min((sigma1, sigma2), dual_pair(sigma1, sigma2))
+        if rep not in naive:
+            naive[rep] = naive_series(tables5, *rep, degree)
+        ref = naive[rep]
+        swap = rep != (sigma1, sigma2)
+        for target in tuples_of_weight(w):
+            a, b, g, e = target
+            expected = ref.get((b, a, g, e) if swap else target, 0)
+            assert psi.at(sigma1, sigma2, target, degree) == expected, (
+                sigma1, sigma2, target)
+            if sigma1 == (1, 1, 1):
+                # the product is symmetric; with the shift-free triple
+                # second, only the kernel's cap keeps d1 below ``degree``
+                assert psi.at(sigma2, sigma1, target, degree) == expected
+            if b == 0 and expected:
+                # every window of the kernel is a single element here
+                beta_zero_hits += 1
+    assert beta_zero_hits
+
+
+def test_at_vanishes_at_degree_one(tables5):
+    psi = PsiCalculator(tables5)
+    for fam in equation_families():
+        for _coeff, sigma1, sigma2 in fam.quantum:
+            for target in tuples_of_weight(fam.target_weight(1)):
+                assert psi.at(sigma1, sigma2, target, 1) == 0
 
 
 def test_generate_equations_requires_lower_degrees():
