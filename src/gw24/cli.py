@@ -21,7 +21,11 @@ from .engine import (
     UnderdeterminedSystemError,
 )
 from .keys import InvariantKey, dimension_valid
-from .schubert import classical_consistency_failures, seed_invariants
+from .schubert import (
+    SeedTableError,
+    classical_consistency_failures,
+    seed_invariants,
+)
 from .table import GOLDEN_MAX_DEGREE, GOLDEN_Q, RENDERERS, build_rows
 
 EXIT_OK = 0
@@ -176,9 +180,8 @@ def cmd_table(args) -> int:
     return EXIT_OK
 
 
-def _engine_checks(args) -> list[dict]:
+def _engine_checks(args, engine: Engine, loaded: int) -> list[dict]:
     """The wdvv-relations and golden-table records of ``verify``."""
-    engine, loaded = _engine_with_cache(args.cache_path)
     golden_failures = []
     matched = 0
     wdvv_record = {"check": "wdvv-relations", "ok": True, "failures": [],
@@ -232,9 +235,9 @@ def cmd_verify(args) -> int:
     })
 
     try:
-        seed_invariants()
-        records.append({"check": "seed-cross-checks", "ok": True, "failures": []})
-    except RuntimeError as exc:
+        # Building the engine runs the seed cross-checks.
+        engine, loaded = _engine_with_cache(args.cache_path)
+    except SeedTableError as exc:
         records.append(
             {"check": "seed-cross-checks", "ok": False, "failures": [str(exc)]}
         )
@@ -243,7 +246,8 @@ def cmd_verify(args) -> int:
             records.append({"check": check, "ok": False, "failures": [],
                             "skipped": "the seed cross-checks failed"})
     else:
-        records.extend(_engine_checks(args))
+        records.append({"check": "seed-cross-checks", "ok": True, "failures": []})
+        records.extend(_engine_checks(args, engine, loaded))
 
     all_ok = all(r["ok"] for r in records)
     if args.format == "json":
@@ -279,7 +283,7 @@ def cmd_cache_export(args) -> int:
 
 
 def cmd_cache_import(args) -> int:
-    store = _load_cache(args.cache_path, Engine().seed_set)
+    store = _load_cache(args.cache_path, seed_invariants())
     rows = sum(len(store.canonical_table(d)) for d in store.degrees())
     print(
         f"cache accepted: degrees 1..{store.max_degree}, {rows} rows"
@@ -302,7 +306,7 @@ def main(argv=None) -> int:
     except UnderdeterminedSystemError as exc:
         print(f"underdetermined: {exc}", file=sys.stderr)
         return EXIT_UNDERDETERMINED
-    except (InconsistencyError, CacheError) as exc:
+    except (InconsistencyError, CacheError, SeedTableError) as exc:
         print(f"inconsistency: {exc}", file=sys.stderr)
         return EXIT_INCONSISTENT
     except EngineError as exc:

@@ -192,29 +192,22 @@ def solve_values(
     Returns the value of every canonical key of ``degree``.  ``tables``
     may also hold ``degree`` and higher degrees, which are never read;
     ``seed_set`` supplies the degree-1 seeds and is read at degree 1 only.
+
+    Seeds and assembled relations alike go through ``settle``; one with
+    several open keys waits on the watch list of each.  Every assigned key
+    is drained before the next relation is read, and the drain that leaves
+    a relation one open key settles it, so none is open at return.
     """
     unknowns = set(canonical_tuples(degree))
     assigned: dict[Tuple4, int] = {}
     queue: deque[Tuple4] = deque()
-    # pending[i] = [open terms, constant, (quadruple, target)]; an entry is
-    # replaced by None once it has at most one open key left.
-    pending: list = []
-    index: dict[Tuple4, set[int]] = {}
-
-    def put(t: Tuple4, value: int, src) -> None:
-        if t in assigned:
-            if assigned[t] != value:
-                raise InconsistencyError(
-                    degree, src[0], src[1],
-                    f"key {t} forced to both {assigned[t]} and {value}",
-                )
-            return
-        assigned[t] = value
-        queue.append(t)
+    # watch[t]: the parked relations [open terms, constant, (quadruple,
+    # target)] that hold the open key t, in parking order.
+    watch: dict[Tuple4, list] = {}
 
     def settle(terms: dict[Tuple4, int], const: int, src) -> None:
         """Act on the relation sum(c * N(t)) + const = 0 over its open keys:
-        check it when none is open, force the one open key, else park it."""
+        check it with none open, force the one open key, else watch each."""
         if not terms:
             if const != 0:
                 raise InconsistencyError(degree, *src)
@@ -227,32 +220,33 @@ def solve_values(
                     degree, src[0], src[1],
                     f"key {t} forced to {shown}, not a nonnegative integer",
                 )
-            put(t, value, src)
+            if t not in assigned:
+                assigned[t] = value
+                queue.append(t)
+            elif assigned[t] != value:
+                raise InconsistencyError(
+                    degree, src[0], src[1],
+                    f"key {t} forced to both {assigned[t]} and {value}",
+                )
         else:
-            eid = len(pending)
-            pending.append([terms, const, src])
+            eq = [terms, const, src]
             for t in terms:
-                index.setdefault(t, set()).add(eid)
+                watch.setdefault(t, []).append(eq)
 
     def drain() -> None:
         while queue:
             t = queue.popleft()
             value = assigned[t]
-            for eid in sorted(index.pop(t, ())):
-                eq = pending[eid]
-                if eq is None:
-                    continue
-                coeff = eq[0].pop(t, None)
-                if coeff is None:
-                    continue
-                eq[1] += coeff * value
-                if len(eq[0]) <= 1:
-                    pending[eid] = None
-                    settle(*eq)
+            for eq in watch.pop(t, ()):
+                terms = eq[0]
+                if len(terms) > 1:  # else it is settled already
+                    eq[1] += terms.pop(t) * value
+                    if len(terms) == 1:
+                        settle(*eq)
 
     if degree == 1:
         for t, v in _seed_assignments(seed_set).items():
-            put(t, v, (("seed",), t))
+            settle({t: 1}, -v, (("seed",), t))
     drain()
 
     psi = PsiCalculator(tables)
@@ -287,12 +281,6 @@ def solve_values(
     missing = unknowns - assigned.keys()
     if missing:
         raise UnderdeterminedSystemError(degree, missing)
-
-    for eq in pending:
-        if eq is not None:
-            residual = eq[1] + sum(c * assigned[t] for t, c in eq[0].items())
-            if residual != 0:
-                raise InconsistencyError(degree, *eq[2])
     return assigned
 
 

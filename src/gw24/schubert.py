@@ -182,8 +182,12 @@ def _seed_lookup(counts: tuple[int, int, int, int]) -> int:
     return _SEED_TABLE[key]
 
 
+class SeedTableError(RuntimeError):
+    """The seed table fails its cross-checks."""
+
+
 def _seed_cross_checks() -> None:
-    """Fail hard if the seed table contradicts the quantum Pieri table.
+    """Raise SeedTableError if the seeds contradict the quantum Pieri table.
 
     Two independent routes to sigma_(2,1) * sigma_(2,1) must agree.  Since
     sigma_1 * sigma_(2) and sigma_1 * sigma_(1,1) have no quantum
@@ -199,10 +203,10 @@ def _seed_cross_checks() -> None:
     # Divisor rule ties the q-coefficients of the Pieri table to I_1(T3,T4).
     top = quantum_pieri((2, 1))
     if top.q_part != ClassCombination.of(Basis.T0, _seed_lookup((0, 0, 1, 1))):
-        raise RuntimeError("quantum Pieri q-term at (2,1) disagrees with seeds")
+        raise SeedTableError("quantum Pieri q-term at (2,1) disagrees with seeds")
     point = quantum_pieri((2, 2))
     if point.q_part != ClassCombination.of(Basis.T1, _seed_lookup((0, 0, 1, 1))):
-        raise RuntimeError("quantum Pieri q-term at (2,2) disagrees with seeds")
+        raise SeedTableError("quantum Pieri q-term at (2,2) disagrees with seeds")
 
     # q-coefficients of sigma_x * sigma_(2,2) for x of codimension 2: the
     # three-point count with insertions {x, T4, e} contracts against the
@@ -227,7 +231,7 @@ def _seed_cross_checks() -> None:
         n = _seed_lookup(x)
         route_b = {(2,): n, (1, 1): n}
         if route_b != route_a or route_b != route_a2:
-            raise RuntimeError(
+            raise SeedTableError(
                 "seed table fails the associativity cross-check: "
                 f"{route_a} / {route_a2} / {route_b}"
             )

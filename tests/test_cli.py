@@ -6,6 +6,7 @@ from gw24 import __version__, schubert
 from gw24.cache import save_store
 from gw24.cli import main
 from gw24.engine import Engine
+from gw24.keys import SeedSet
 
 
 @pytest.fixture(scope="module")
@@ -181,6 +182,35 @@ def test_verify_reports_failing_seed_table(capsys, monkeypatch, cache3,
             "check": name, "ok": False, "failures": [],
             "skipped": "the seed cross-checks failed",
         }
+
+
+@pytest.mark.parametrize("argv", [
+    ("table", "--max-degree", "1"),
+    ("invariant", "5", "0", "0", "0", "1"),
+    ("cache", "export", "--max-degree", "1", "--cache-path", "{tmp}/x.gw24"),
+    ("cache", "import", "--cache-path", "{cache3}"),
+])
+def test_failing_seed_table_is_an_inconsistency(capsys, monkeypatch, cache3,
+                                                tmp_path, argv):
+    monkeypatch.setitem(schubert._SEED_TABLE, (1, 0, 2, 0), 2)
+    argv = [a.format(tmp=tmp_path, cache3=cache3) for a in argv]
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("inconsistency: seed table fails the associativity")
+    assert err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def test_underdetermined_system_exits_3(capsys, monkeypatch):
+    monkeypatch.setattr(
+        "gw24.cli.Engine",
+        lambda: Engine(seed_set=SeedSet(entries={}, provenance_note="empty")),
+    )
+    code, out, err = run(capsys, "invariant", "5", "0", "0", "0", "1")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("underdetermined: degree 1: underdetermined system")
 
 
 def test_verify_corrupted_cache_exits_2(capsys, cache3, tmp_path):

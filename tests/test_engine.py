@@ -15,6 +15,7 @@ from gw24.engine import (
     InvariantStore,
     MissingValueError,
     UnderdeterminedSystemError,
+    solve_values,
     verify_store,
 )
 from gw24.keys import (
@@ -250,6 +251,52 @@ def test_bad_unit_fails_at_the_forcing_relation(engine4):
     eq = build_equation(family, exc.target, 4, PsiCalculator(store.raw_tables()))
     assert (4, 1, 0, 4) in dict(eq.terms)
     assert store.max_degree == 3
+
+
+def test_degree2_mutations_fail_in_parked_relations(engine4):
+    # every degree-2 value moved by +-1 (where it stays nonnegative), then
+    # degree 3 solved: most conflicts come from relations that waited on a
+    # watch list; the two mutations propagation accepts are caught by verify
+    outcomes, messages, accepted = Counter(), {}, []
+    for t, v in engine4.store.canonical_table(2).items():
+        for delta in (1, -1):
+            if v + delta < 0:
+                continue
+            table = dict(engine4.store.canonical_table(2))
+            table[t] = v + delta
+            store = InvariantStore()
+            store.commit_degree(1, engine4.store.canonical_table(1))
+            store.commit_degree(2, table)
+            try:
+                values = solve_values(store.raw_tables(), 3, None)
+            except InconsistencyError as exc:
+                messages[t, delta] = str(exc)
+                outcomes["both" if "forced to both" in str(exc) else
+                         "negative" if "nonnegative" in str(exc) else
+                         str(exc)] += 1
+            else:
+                outcomes["solved"] += 1
+                store.commit_degree(3, values)
+                accepted.append(store)
+    assert outcomes == {"both": 50, "negative": 6, "solved": 2}
+    assert messages[(1, 0, 1, 2), 1] == (
+        "degree 3: violated relation at quadruple (1, 2, 2, 3), monomial "
+        "(0, 0, 0, 3): key (1, 1, 1, 3) forced to both 8 and 2"
+    )
+    for store in accepted:
+        assert not verify_store(store, 3).ok
+
+
+def test_negative_seed_fails_at_the_seed():
+    entries = dict(seed_invariants().entries)
+    entries[InvariantKey(0, 0, 1, 1, 1)] = -1
+    eng = Engine(seed_set=SeedSet(entries=entries, provenance_note="test"))
+    with pytest.raises(InconsistencyError) as info:
+        eng.solve_degree(1)
+    assert info.value.quadruple == ("seed",)
+    assert str(info.value).endswith(
+        "key (0, 0, 1, 1) forced to -1, not a nonnegative integer"
+    )
 
 
 def test_verify_wdvv_degree_zero_is_empty(engine4):
