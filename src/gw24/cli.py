@@ -180,44 +180,41 @@ def cmd_table(args) -> int:
     return EXIT_OK
 
 
+def _record(check: str, failures: list, **extra) -> dict:
+    """One ``verify`` record; it is ok exactly when it has no failures."""
+    return {"check": check, "ok": not failures, "failures": failures, **extra}
+
+
 def _engine_checks(args, engine: Engine, loaded: int) -> list[dict]:
     """The wdvv-relations and golden-table records of ``verify``."""
-    golden_failures = []
-    matched = 0
-    wdvv_record = {"check": "wdvv-relations", "ok": True, "failures": [],
-                   "equations_checked": 0}
+    checked, failures, golden_failures = 0, [], []
+    degrees = range(1, min(args.max_degree, GOLDEN_MAX_DEGREE) + 1)
     if args.max_degree >= 1:
         report = engine.verify_wdvv(
             args.max_degree, exhaustive=args.exhaustive, workers=args.workers
         )
-        wdvv_record["equations_checked"] = report.equations_checked
-        if not report.ok:
-            wdvv_record["ok"] = False
-            wdvv_record["failures"] = [
-                {
-                    "degree": v.degree,
-                    "quadruple": list(v.quadruple),
-                    "monomial": list(v.target),
-                    "residual": str(v.residual),
-                }
-                for v in report.violations
-            ]
-        for d in range(1, min(args.max_degree, GOLDEN_MAX_DEGREE) + 1):
+        checked = report.equations_checked
+        failures = [
+            {
+                "degree": v.degree,
+                "quadruple": list(v.quadruple),
+                "monomial": list(v.target),
+                "residual": str(v.residual),
+            }
+            for v in report.violations
+        ]
+        for d in degrees:
             q = engine.q_number(d)
-            if q == GOLDEN_Q[d]:
-                matched += 1
-            else:
+            if q != GOLDEN_Q[d]:
                 golden_failures.append(
                     f"degree {d}: computed {q}, reference {GOLDEN_Q[d]}"
                 )
-    records = [wdvv_record, {
-        "check": "golden-table",
-        "ok": not golden_failures,
-        "matched_rows": matched,
-        "failures": golden_failures,
-    }]
     _maybe_refresh_cache(engine, args.cache_path, loaded)
-    return records
+    return [
+        _record("wdvv-relations", failures, equations_checked=checked),
+        _record("golden-table", golden_failures,
+                matched_rows=len(degrees) - len(golden_failures)),
+    ]
 
 
 def cmd_verify(args) -> int:
@@ -225,28 +222,20 @@ def cmd_verify(args) -> int:
         raise UsageError("--max-degree must be >= 0")
     if args.workers < 1:
         raise UsageError("--workers must be >= 1")
-    records = []
-
-    classical = classical_consistency_failures()
-    records.append({
-        "check": "classical-ring-vs-oracle",
-        "ok": not classical,
-        "failures": classical,
-    })
-
+    records = [
+        _record("classical-ring-vs-oracle", classical_consistency_failures())
+    ]
     try:
         # Building the engine runs the seed cross-checks.
         engine, loaded = _engine_with_cache(args.cache_path)
     except SeedTableError as exc:
-        records.append(
-            {"check": "seed-cross-checks", "ok": False, "failures": [str(exc)]}
-        )
+        records.append(_record("seed-cross-checks", [str(exc)]))
         # The remaining checks run on an engine built from the seeds.
         for check in ("wdvv-relations", "golden-table"):
             records.append({"check": check, "ok": False, "failures": [],
                             "skipped": "the seed cross-checks failed"})
     else:
-        records.append({"check": "seed-cross-checks", "ok": True, "failures": []})
+        records.append(_record("seed-cross-checks", []))
         records.extend(_engine_checks(args, engine, loaded))
 
     all_ok = all(r["ok"] for r in records)
@@ -264,10 +253,9 @@ def cmd_verify(args) -> int:
             elif r["check"] == "golden-table":
                 extra = f" (golden rows matched: {r['matched_rows']})"
             print(f"{r['check']}: {status}{extra}")
-            if not r["ok"]:
-                for failure in r["failures"]:
-                    print(f"  {json.dumps(failure, sort_keys=True)}"
-                          if isinstance(failure, dict) else f"  {failure}")
+            for failure in r["failures"]:
+                print(f"  {json.dumps(failure, sort_keys=True)}"
+                      if isinstance(failure, dict) else f"  {failure}")
     return EXIT_OK if all_ok else EXIT_INCONSISTENT
 
 
@@ -292,15 +280,10 @@ def cmd_cache_import(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
-    except UsageError as exc:
+    except (UsageError, ValueError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except UnderdeterminedSystemError as exc:
@@ -312,9 +295,6 @@ def main(argv=None) -> int:
     except EngineError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INCONSISTENT
-    except ValueError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -171,17 +171,6 @@ class RuledSurfaceDegree(NamedTuple):
     caveat: bool
 
 
-def _seed_assignments(seed_set: SeedSet) -> dict[Tuple4, int]:
-    out: dict[Tuple4, int] = {}
-    for key, value in seed_set.canonical_entries().items():
-        if key.degree != 1:
-            raise EngineError(f"seed {key} is not a degree-1 key")
-        if not dimension_valid(key):
-            raise EngineError(f"seed {key} violates the dimension condition")
-        out[key[:4]] = value
-    return out
-
-
 def solve_values(
     tables: dict[int, dict[Tuple4, int]],
     degree: int,
@@ -245,8 +234,8 @@ def solve_values(
                         settle(*eq)
 
     if degree == 1:
-        for t, v in _seed_assignments(seed_set).items():
-            settle({t: 1}, -v, (("seed",), t))
+        for key, v in seed_set.canonical_entries().items():
+            settle({key[:4]: 1}, -v, (("seed",), key[:4]))
     drain()
 
     psi = PsiCalculator(tables)

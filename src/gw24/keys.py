@@ -72,23 +72,31 @@ class SeedSet:
     """The degree-1 inputs the associativity recursion starts from.
 
     Entries are raw (non-normalized) keys; symmetric images are listed
-    explicitly and must agree after normalization.
+    explicitly and must agree.  Construction raises ValueError on a key
+    that is not a dimension-valid degree-1 key or on disagreeing images.
     """
 
     entries: dict[InvariantKey, int]
     provenance_note: str
 
-    def canonical_entries(self) -> dict[InvariantKey, int]:
-        out: dict[InvariantKey, int] = {}
+    def __post_init__(self):
+        canonical: dict[InvariantKey, int] = {}
         for key, value in self.entries.items():
             canon = normalize(key)
-            if canon in out and out[canon] != value:
+            if canon.degree != 1:
+                raise ValueError(f"seed {canon} is not a degree-1 key")
+            if not dimension_valid(canon):
+                raise ValueError(
+                    f"seed {canon} violates the dimension condition"
+                )
+            if canonical.setdefault(canon, value) != value:
                 raise ValueError(
                     f"seed set inconsistent under symmetry at {canon}: "
-                    f"{out[canon]} vs {value}"
+                    f"{canonical[canon]} vs {value}"
                 )
-            out[canon] = value
-        return out
+
+    def canonical_entries(self) -> dict[InvariantKey, int]:
+        return {normalize(key): value for key, value in self.entries.items()}
 
     def serialize(self) -> str:
         lines = [

@@ -238,12 +238,15 @@ def _seed_cross_checks() -> None:
 
 
 def seed_invariants() -> SeedSet:
-    """The six degree-1 seeds, cross-checked for internal consistency."""
+    """The six degree-1 seeds; a defect in the table raises SeedTableError."""
     _seed_cross_checks()
     entries = {
         InvariantKey(a, b, g, d, 1): v for (a, b, g, d), v in _SEED_TABLE.items()
     }
-    return SeedSet(entries=entries, provenance_note=_SEED_NOTE)
+    try:
+        return SeedSet(entries=entries, provenance_note=_SEED_NOTE)
+    except ValueError as exc:
+        raise SeedTableError(str(exc)) from exc
 
 
 def classical_consistency_failures() -> list[str]:

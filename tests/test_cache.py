@@ -1,7 +1,11 @@
+import hashlib
+import json
+
 import pytest
 
 from gw24 import __version__
 from gw24.cache import CacheError, load_store, save_store, seed_digest
+from gw24.cli import main
 from gw24.engine import Engine
 from gw24.keys import SeedSet
 
@@ -84,29 +88,60 @@ def test_seed_digest_mismatch_rejected(engine3, tmp_path):
         load_store(str(path), different)
 
 
+def _saved(path, engine):
+    """Save the engine's store to ``path``; return its header and rows."""
+    save_store(engine.store, str(path), engine.seed_set, __version__)
+    header, *rows = path.read_text().splitlines()
+    return json.loads(header), rows
+
+
+def _redigested(header, rows):
+    """Cache text of ``rows`` under ``header`` with a matching row digest,
+    so that the loader gets past the digest check."""
+    digest = hashlib.sha256("\n".join(rows).encode()).hexdigest()
+    return (json.dumps(dict(header, content_digest=digest), sort_keys=True)
+            + "\n" + "\n".join(rows) + "\n")
+
+
 def test_malformed_rows_rejected(tmp_path, engine3):
     path = tmp_path / "store.gw24"
-    save_store(engine3.store, str(path), engine3.seed_set, __version__)
-    header, *rows = path.read_text().splitlines()
+    header, rows = _saved(path, engine3)
 
-    def rewrite(new_rows):
-        import hashlib
-        import json
-
-        h = json.loads(header)
-        h["content_digest"] = hashlib.sha256(
-            "\n".join(new_rows).encode()
-        ).hexdigest()
-        path.write_text(json.dumps(h, sort_keys=True) + "\n"
-                        + "\n".join(new_rows) + "\n")
-
-    rewrite(rows + ["1 2 3"])
+    path.write_text(_redigested(header, rows + ["1 2 3"]))
     with pytest.raises(CacheError, match="malformed row"):
         load_store(str(path), engine3.seed_set)
 
-    rewrite([r for r in rows if not r.endswith(" 2 2")])
+    path.write_text(_redigested(header, [r for r in rows
+                                         if not r.endswith(" 2 2")]))
     with pytest.raises(CacheError):
         load_store(str(path), engine3.seed_set)
+
+
+@pytest.mark.parametrize("corrupt, message", [
+    (lambda h, rows: "", "empty cache file"),
+    (lambda h, rows: "not json\n" + "\n".join(rows) + "\n",
+     "malformed header"),
+    (lambda h, rows: _redigested(dict(h, schema=2), rows),
+     "unsupported schema version 2"),
+    (lambda h, rows: _redigested(h, rows + ["1 2 3 4 5 x"]), "malformed row"),
+    (lambda h, rows: _redigested(h, [rows[0].rsplit(" ", 1)[0] + " -1",
+                                     *rows[1:]]), "invalid row"),
+    (lambda h, rows: _redigested(h, rows + ["0 5 0 0 1 0"]), "invalid row"),
+    (lambda h, rows: _redigested(h, rows + ["1 0 0 0 0 1"]), "invalid row"),
+    (lambda h, rows: _redigested(h, rows + rows[:1]), "duplicate row"),
+    (lambda h, rows: _redigested(h, []), "cache has no rows"),
+], ids=["empty", "header-not-json", "schema", "row-not-integers",
+        "negative-value", "alpha-below-beta", "degree-0", "duplicate",
+        "no-rows"])
+def test_every_loader_rejection(tmp_path, engine3, capsys, corrupt, message):
+    path = tmp_path / "store.gw24"
+    header, rows = _saved(path, engine3)
+    path.write_text(corrupt(header, rows))
+    with pytest.raises(CacheError, match=message):
+        load_store(str(path), engine3.seed_set)
+    assert main(["cache", "import", "--cache-path", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("inconsistency: ") and message in err
 
 
 def test_malformed_header_or_encoding_rejected(tmp_path, engine3):
@@ -124,15 +159,9 @@ def test_malformed_header_or_encoding_rejected(tmp_path, engine3):
 
 def test_missing_degree_rejected(tmp_path, engine3):
     path = tmp_path / "store.gw24"
-    save_store(engine3.store, str(path), engine3.seed_set, __version__)
-    header, *rows = path.read_text().splitlines()
-    kept = [r for r in rows if r.split()[4] != "2"]
-    import hashlib
-    import json
-
-    h = json.loads(header)
-    h["content_digest"] = hashlib.sha256("\n".join(kept).encode()).hexdigest()
-    path.write_text(json.dumps(h, sort_keys=True) + "\n" + "\n".join(kept) + "\n")
+    header, rows = _saved(path, engine3)
+    path.write_text(_redigested(header, [r for r in rows
+                                         if r.split()[4] != "2"]))
     with pytest.raises(CacheError, match="contiguous"):
         load_store(str(path), engine3.seed_set)
 

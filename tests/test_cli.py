@@ -1,11 +1,12 @@
 import json
+from collections import Counter
 
 import pytest
 
 from gw24 import __version__, schubert
 from gw24.cache import save_store
 from gw24.cli import main
-from gw24.engine import Engine
+from gw24.engine import Engine, InvariantStore
 from gw24.keys import SeedSet
 
 
@@ -22,6 +23,26 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+# Seed-table defects as (id, entry, value, message).  The first breaks the
+# associativity cross-check of the seeds; SeedSet rejects the other two.
+SEED_DEFECTS = [
+    ("", (1, 0, 2, 0), 2, "seed table fails the associativity cross-check"),
+    ("asymmetric", (0, 2, 0, 1), 1, "seed set inconsistent under symmetry"),
+    ("dimension", (1, 0, 0, 0), 1, "violates the dimension condition"),
+]
+
+
+def with_seed_defects(cases):
+    """Each (id, args) case once per seed defect; with the first defect a
+    case keeps its own id."""
+    return [
+        pytest.param(*args, entry, value, message,
+                     id="-".join(filter(None, (case_id, defect_id))))
+        for case_id, args in cases
+        for defect_id, entry, value, message in SEED_DEFECTS
+    ]
 
 
 def test_invariant_plain(capsys, cache3):
@@ -107,6 +128,20 @@ def test_table_degree_gate(capsys):
     assert "allow-high-degree" in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("table", "--max-degree", "0"), "--max-degree must be >= 1"),
+    (("cache", "export", "--max-degree", "0", "--cache-path", "x.gw24"),
+     "--max-degree must be >= 1"),
+    (("verify", "--max-degree", "-1"), "--max-degree must be >= 0"),
+    (("verify", "--workers", "0"), "--workers must be >= 1"),
+], ids=["table", "cache-export", "verify-max-degree", "verify-workers"])
+def test_out_of_range_options_usage_error(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err == f"usage error: {message}\n"
+
+
 def test_table_deterministic_output(capsys, cache3):
     _code, out1, _ = run(capsys, "table", "--max-degree", "3",
                          "--cache-path", cache3)
@@ -155,18 +190,18 @@ def test_verify_json_same_with_and_without_exhaustive(capsys, cache3):
     assert checks["wdvv-relations"]["equations_checked"] == 1981
 
 
-@pytest.mark.parametrize("max_degree", ["0", "1"])
+@pytest.mark.parametrize("max_degree, entry, value, message",
+                         with_seed_defects([("0", ("0",)), ("1", ("1",))]))
 def test_verify_reports_failing_seed_table(capsys, monkeypatch, cache3,
-                                          max_degree):
-    # (1,0,2,0) = 2 breaks the associativity cross-check of the seeds; every
-    # engine is built from the seeds, so the engine checks are skipped
-    monkeypatch.setitem(schubert._SEED_TABLE, (1, 0, 2, 0), 2)
+                                          max_degree, entry, value, message):
+    # every engine is built from the seeds, so the engine checks are skipped
+    monkeypatch.setitem(schubert._SEED_TABLE, entry, value)
     code, out, _err = run(capsys, "verify", "--max-degree", max_degree,
                           "--cache-path", cache3)
     assert code == 2
     assert "classical-ring-vs-oracle: ok" in out
     assert "seed-cross-checks: FAIL" in out
-    assert "associativity cross-check" in out
+    assert message in out
     assert "wdvv-relations: skipped (the seed cross-checks failed)" in out
     assert "golden-table: skipped (the seed cross-checks failed)" in out
     code, out, _err = run(capsys, "verify", "--max-degree", max_degree,
@@ -177,6 +212,7 @@ def test_verify_reports_failing_seed_table(capsys, monkeypatch, cache3,
     checks = {c["check"]: c for c in payload["checks"]}
     assert checks["classical-ring-vs-oracle"]["ok"] is True
     assert checks["seed-cross-checks"]["ok"] is False
+    assert message in checks["seed-cross-checks"]["failures"][0]
     for name in ("wdvv-relations", "golden-table"):
         assert checks[name] == {
             "check": name, "ok": False, "failures": [],
@@ -184,20 +220,25 @@ def test_verify_reports_failing_seed_table(capsys, monkeypatch, cache3,
         }
 
 
-@pytest.mark.parametrize("argv", [
-    ("table", "--max-degree", "1"),
-    ("invariant", "5", "0", "0", "0", "1"),
-    ("cache", "export", "--max-degree", "1", "--cache-path", "{tmp}/x.gw24"),
-    ("cache", "import", "--cache-path", "{cache3}"),
-])
+@pytest.mark.parametrize("argv, entry, value, message", with_seed_defects([
+    (f"argv{i}", (argv,)) for i, argv in enumerate([
+        ("table", "--max-degree", "1"),
+        ("invariant", "5", "0", "0", "0", "1"),
+        ("cache", "export", "--max-degree", "1", "--cache-path",
+         "{tmp}/x.gw24"),
+        ("cache", "import", "--cache-path", "{cache3}"),
+    ])
+]))
 def test_failing_seed_table_is_an_inconsistency(capsys, monkeypatch, cache3,
-                                                tmp_path, argv):
-    monkeypatch.setitem(schubert._SEED_TABLE, (1, 0, 2, 0), 2)
+                                                tmp_path, argv, entry, value,
+                                                message):
+    monkeypatch.setitem(schubert._SEED_TABLE, entry, value)
     argv = [a.format(tmp=tmp_path, cache3=cache3) for a in argv]
     code, out, err = run(capsys, *argv)
     assert code == 2
     assert out == ""
-    assert err.startswith("inconsistency: seed table fails the associativity")
+    assert err.startswith("inconsistency: seed")
+    assert message in err
     assert err.count("\n") == 1
     assert "Traceback" not in err
 
@@ -211,6 +252,54 @@ def test_underdetermined_system_exits_3(capsys, monkeypatch):
     assert code == 3
     assert out == ""
     assert err.startswith("underdetermined: degree 1: underdetermined system")
+
+
+def test_verify_reports_violated_relations_and_golden_mismatch(
+        capsys, monkeypatch):
+    # a d<=3 store with N(9,0,0,0;2) = 3 instead of 2
+    solved = Engine()
+    solved.solve_up_to(3)
+    store = InvariantStore()
+    for d in (1, 2, 3):
+        table = solved.store.canonical_table(d)
+        if d == 2:
+            table[(9, 0, 0, 0)] = 3
+        store.commit_degree(d, table)
+    bad = Engine()
+    bad.store = store
+    monkeypatch.setattr("gw24.cli.Engine", lambda: bad)
+
+    code, out, _err = run(capsys, "verify", "--max-degree", "3")
+    assert code == 2
+    lines = out.splitlines()
+    assert lines[:4] == [
+        "classical-ring-vs-oracle: ok",
+        "seed-cross-checks: ok",
+        "wdvv-relations: FAIL (equations checked: 1981)",
+        '  {"degree": 2, "monomial": [6, 0, 0, 0], '
+        '"quadruple": [1, 1, 2, 2], "residual": "1"}',
+    ]
+    assert lines[-2:] == [
+        "golden-table: FAIL (golden rows matched: 2)",
+        "  degree 2: computed 3, reference 2",
+    ]
+    assert len(lines) == 3 + 116 + 2
+
+    _code, default, _err = run(capsys, "verify", "--max-degree", "3",
+                               "--format", "json")
+    code, exhaustive, _err = run(capsys, "verify", "--max-degree", "3",
+                                 "--format", "json", "--exhaustive")
+    assert code == 2
+    assert default == exhaustive
+    payload = json.loads(default)
+    assert payload["ok"] is False
+    checks = {c["check"]: c for c in payload["checks"]}
+    failures = checks["wdvv-relations"]["failures"]
+    assert Counter(f["degree"] for f in failures) == {2: 2, 3: 114}
+    assert checks["golden-table"] == {
+        "check": "golden-table", "ok": False, "matched_rows": 2,
+        "failures": ["degree 2: computed 3, reference 2"],
+    }
 
 
 def test_verify_corrupted_cache_exits_2(capsys, cache3, tmp_path):

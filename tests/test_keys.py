@@ -1,5 +1,8 @@
+import pytest
+
 from gw24.keys import (
     InvariantKey,
+    SeedSet,
     canonical_tuples,
     dimension_valid,
     normalize,
@@ -46,3 +49,15 @@ def test_canonical_tuples_are_canonical():
     for d in (1, 2, 3):
         for a, b, _g, _e in canonical_tuples(d):
             assert a >= b
+
+
+@pytest.mark.parametrize("entries, message", [
+    ({InvariantKey(9, 0, 0, 0, 2): 2}, "is not a degree-1 key"),
+    ({InvariantKey(1, 0, 0, 0, 1): 1}, "violates the dimension condition"),
+    ({InvariantKey(2, 0, 0, 1, 1): 0, InvariantKey(0, 2, 0, 1, 1): 1},
+     r"inconsistent under symmetry at .*: 0 vs 1"),
+], ids=["degree-2", "dimension-invalid", "asymmetric"])
+def test_seed_set_rejects_bad_keys_at_construction(entries, message):
+    with pytest.raises(ValueError, match=message):
+        SeedSet(entries=entries, provenance_note="test")
+
