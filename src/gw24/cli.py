@@ -86,7 +86,7 @@ def build_parser() -> _Parser:
     ver.add_argument(
         "--workers", type=int, default=1,
         help="processes for the series convolutions of --exhaustive, at "
-             "most one per CPU; the default check is serial and ignores it",
+             "most one per CPU (no pool if only one); ignored without it",
     )
     ver.add_argument("--cache-path")
     ver.add_argument("--format", choices=("text", "json"), default="text")

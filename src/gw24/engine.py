@@ -45,6 +45,7 @@ from .wdvv import (
     dual_pair,
     equation_families,
     solve_order,
+    triple_info,
 )
 
 
@@ -363,18 +364,6 @@ class Engine:
         )
 
 
-def _conv_jobs(max_degree: int):
-    """Distinct lower-degree product series the exhaustive check needs."""
-    jobs = set()
-    for degree in range(2, max_degree + 1):
-        for fam in equation_families():
-            if fam.target_weight(degree) < 0:
-                continue
-            for _coeff, sigma1, sigma2 in fam.quantum:
-                jobs.add((degree, sigma1, sigma2))
-    return sorted(jobs)
-
-
 _WORKER_PSI: PsiCalculator | None = None
 
 
@@ -388,22 +377,23 @@ def _worker_series(job):
     return job, _WORKER_PSI.series(sigma1, sigma2, degree)
 
 
-def _prefill_series(psi: PsiCalculator, max_degree: int, workers: int) -> None:
-    """Compute the product series on a process pool (pure, read-only).
+def _prefill_series(psi: PsiCalculator, degrees, workers: int) -> None:
+    """Compute the product series of ``degrees`` on a pool (pure, read-only).
 
     Only the representative of each dual orbit goes to the pool; the
     serial check derives the mirrored series from it on first use.
+    Degree 1 has no splitting into two curve degrees, so no series.
     """
     import multiprocessing as mp
 
-    jobs = [
+    jobs = sorted({
         (degree, s1, s2)
-        for degree, s1, s2 in _conv_jobs(max_degree)
-        if (s1, s2) <= dual_pair(s1, s2)
-    ]
+        for degree in degrees if degree >= 2
+        for fam in equation_families() if fam.target_weight(degree) >= 0
+        for _coeff, s1, s2 in fam.quantum if (s1, s2) <= dual_pair(s1, s2)
+    })
     ctx = mp.get_context()
-    # The result does not depend on the pool size: start one per CPU at most.
-    with ctx.Pool(min(workers, os.cpu_count() or 1), initializer=_worker_init,
+    with ctx.Pool(workers, initializer=_worker_init,
                   initargs=(psi.tables,)) as pool:
         for (degree, s1, s2), series in pool.imap_unordered(
             _worker_series, jobs, chunksize=4
@@ -425,7 +415,8 @@ def verify_store(
     Otherwise only the degrees that ``_degrees_failing_at_a_point`` flags
     are, which gives the same report unless that check misses (see there).
     ``workers`` > 1 spreads the series convolutions of the exhaustive
-    check over processes; results are identical to the serial run.
+    check over processes, at most one per CPU, and no pool starts when
+    that leaves one; results are identical to the serial run.
     """
     if store.max_degree < max_degree:
         raise MissingValueError(
@@ -433,17 +424,19 @@ def verify_store(
             f"have {store.max_degree}"
         )
     checked = 0
-    violations: list[Violation] = []
-    psi = PsiCalculator(store.raw_tables())
-    if exhaustive and workers > 1:
-        _prefill_series(psi, max_degree, workers)
-    suspects = set() if exhaustive else _degrees_failing_at_a_point(psi, max_degree)
     for degree in range(1, max_degree + 1):
         # One relation per family and target of its weight class.
         weights = Counter(fam.target_weight(degree) for fam in equation_families())
         checked += sum(n * len(tuples_of_weight(w)) for w, n in weights.items())
-        if exhaustive or degree in suspects:
-            violations.extend(_check_degree_relations(degree, psi))
+    tables = store.raw_tables()
+    degrees = (range(1, max_degree + 1) if exhaustive
+               else sorted(_degrees_failing_at_a_point(tables, max_degree)))
+    psi = PsiCalculator(tables)
+    # The result does not depend on the pool size: start one per CPU at most.
+    workers = min(workers, os.cpu_count() or 1)
+    if exhaustive and workers > 1:
+        _prefill_series(psi, degrees, workers)
+    violations = [v for d in degrees for v in _check_degree_relations(d, psi)]
     return WdvvReport(
         max_degree=max_degree,
         equations_checked=checked,
@@ -487,15 +480,19 @@ def _is_prime(n: int) -> bool:
     )
 
 
-def _degrees_failing_at_a_point(psi: PsiCalculator, max_degree: int) -> set[int]:
+def _degrees_failing_at_a_point(
+    tables: dict[int, dict[Tuple4, int]], max_degree: int
+) -> set[int]:
     """Degrees where some family's relations fail at a random point.
 
     The relations of one family at degree d are the coefficients of one
     polynomial: its terms with each factor F(d, sigma) = sum v x^t / t!
-    over ``psi.shifted_items(d, sigma)``, as the binomials of ``series``
-    are ratios of these factorials.  Modulo a random 61-bit prime p, a
-    family whose residual is nonzero mod p vanishes at a random point with
-    probability at most (4d + 4) / p (Schwartz-Zippel).
+    over the keys k of ``tables[d]`` that dominate the shift, at
+    t = k - shift and v = d**n1 N(k), where (shift, n1) =
+    ``triple_info(sigma)``; the binomials of ``series`` are ratios of
+    these factorials.  Modulo a random 61-bit prime p, a family whose
+    residual is nonzero mod p vanishes at a random point with probability
+    at most (4d + 4) / p (Schwartz-Zippel).
     """
     p = 0
     while not _is_prime(p):
@@ -509,9 +506,11 @@ def _degrees_failing_at_a_point(psi: PsiCalculator, max_degree: int) -> set[int]
 
     @lru_cache(maxsize=None)
     def egf(degree: int, sigma: Triple) -> int:
-        return sum(
-            v * pa[a] * pb[b] * pg[g] * pe[e]
-            for a, b, g, e, v in psi.shifted_items(degree, sigma)
+        (sa, sb, sg, se), n1, _alive = triple_info(sigma)
+        return degree**n1 * sum(
+            v * pa[a - sa] * pb[b - sb] * pg[g - sg] * pe[e - se]
+            for (a, b, g, e), v in tables[degree].items()
+            if a >= sa and b >= sb and g >= sg and e >= se
         ) % p
 
     failing = set()

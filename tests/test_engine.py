@@ -3,6 +3,7 @@ import os
 import random
 import threading
 from collections import Counter
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -481,14 +482,15 @@ def test_workers_verify_matches_serial_under_spawn(engine4, monkeypatch):
     assert verify_store(engine4.store, 3, workers=2) == serial
 
 
-def test_workers_are_capped_at_the_cpu_count(engine4, monkeypatch):
-    # a fake context records the requested pool size and runs the jobs in
-    # this process, so no worker is ever started
-    requested = []
+@pytest.fixture
+def inline_pool(monkeypatch):
+    """A fake pool context that runs the jobs in this process, so no
+    worker is ever started; it records the size and jobs of each pool."""
+    record = SimpleNamespace(sizes=[], jobs=[])
 
     class InlinePool:
         def __init__(self, size, initializer, initargs):
-            requested.append(size)
+            record.sizes.append(size)
             initializer(*initargs)
 
         def __enter__(self):
@@ -498,6 +500,7 @@ def test_workers_are_capped_at_the_cpu_count(engine4, monkeypatch):
             return False
 
         def imap_unordered(self, func, jobs, chunksize=1):
+            record.jobs.extend(jobs)
             return map(func, jobs)
 
     class InlineContext:
@@ -506,6 +509,50 @@ def test_workers_are_capped_at_the_cpu_count(engine4, monkeypatch):
     monkeypatch.setattr(multiprocessing, "get_context",
                         lambda method=None: InlineContext())
     monkeypatch.setattr(engine_module, "_WORKER_PSI", None)
+    return record
+
+
+def test_workers_are_capped_at_the_cpu_count(engine4, inline_pool, monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
     serial = verify_store(engine4.store, 3, workers=1)
     assert verify_store(engine4.store, 3, workers=1_000_000) == serial
-    assert requested == [os.cpu_count() or 1]
+    assert inline_pool.sizes == [3]
+
+
+def test_one_cpu_starts_no_pool(engine4, monkeypatch):
+    def get_context(method=None):
+        raise AssertionError("a pool of one process was requested")
+
+    serial = verify_store(engine4.store, 3, workers=1)
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    monkeypatch.setattr(multiprocessing, "get_context", get_context)
+    assert verify_store(engine4.store, 3, workers=2) == serial
+
+
+def test_pool_convolves_exactly_the_series_the_check_reads(
+    engine4, inline_pool, monkeypatch
+):
+    # every series the serial check asks of the verifier's own calculator
+    # (the inline workers' calculator is _WORKER_PSI), and whether it was
+    # memoized when asked
+    asked = []
+    series = PsiCalculator.series
+
+    def recording_series(self, sigma1, sigma2, degree):
+        if self is not engine_module._WORKER_PSI:
+            key = (degree, *sorted((sigma1, sigma2)))
+            asked.append((key, key in self._series))
+        return series(self, sigma1, sigma2, degree)
+
+    serial = verify_store(engine4.store, 4, workers=1)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(PsiCalculator, "series", recording_series)
+    assert verify_store(engine4.store, 4, workers=2) == serial
+    # a degree-1 series is empty: no curve splits into two of positive degree
+    representatives = {
+        (degree, *min((s1, s2), dual_pair(s1, s2)))
+        for (degree, s1, s2), _memoized in asked
+        if degree >= 2
+    }
+    assert sorted(inline_pool.jobs) == sorted(representatives)
+    assert all(memoized for key, memoized in asked if key in representatives)

@@ -8,13 +8,18 @@ degrees.
 """
 
 from collections import Counter
+from itertools import product
 from math import comb
 
 import pytest
 
-from gw24.engine import Engine, MissingValueError, _conv_jobs
+from gw24.cohomology import CODIM, Basis, pairing, triple
+from gw24.engine import Engine, MissingValueError
 from gw24.keys import tuples_of_weight
 from gw24.wdvv import (
+    DUAL,
+    ORIENTED_PAIRS,
+    QUANTUM_CLASSES,
     PsiCalculator,
     _pairing_structure,
     build_equation,
@@ -55,6 +60,23 @@ def test_family_shapes():
 def test_unit_free():
     for fam in equation_families():
         assert 0 not in fam.classes
+
+
+def test_ring_constants_match_the_cohomology_tables():
+    # wdvv restates these from the classical ring; verify checks that ring
+    # against the Schubert oracle through the cohomology tables
+    assert len(set(ORIENTED_PAIRS)) == len(ORIENTED_PAIRS)
+    assert set(ORIENTED_PAIRS) == {
+        (e, f) for e, f in product(Basis, repeat=2) if pairing(e, f) == 1
+    }
+    assert QUANTUM_CLASSES == tuple(c for c in Basis if CODIM[c] > 0)
+    assert all(DUAL[DUAL[c]] == c for c in Basis)
+    assert (DUAL[Basis.TA], DUAL[Basis.TB]) == (Basis.TB, Basis.TA)
+    assert all(CODIM[DUAL[c]] == CODIM[c] for c in Basis)
+    for i, j in product(Basis, repeat=2):
+        assert pairing(DUAL[i], DUAL[j]) == pairing(i, j), (i, j)
+    for i, j, k in product(Basis, repeat=3):
+        assert triple(DUAL[i], DUAL[j], DUAL[k]) == triple(i, j, k), (i, j, k)
 
 
 def test_quantum_terms_merge_both_pairings():
@@ -248,7 +270,12 @@ def test_series_matches_naive_convolution():
     eng.solve_up_to(4)
     tables = eng.store.raw_tables()
     psi = PsiCalculator(tables)
-    jobs = _conv_jobs(5)
+    jobs = sorted({
+        (degree, s1, s2)
+        for degree in range(2, 6)
+        for fam in equation_families() if fam.target_weight(degree) >= 0
+        for _coeff, s1, s2 in fam.quantum
+    })
     mirrored = [j for j in jobs if dual_pair(j[1], j[2]) < j[1:]]
     assert mirrored and len(mirrored) < len(jobs)
     for degree, sigma1, sigma2 in jobs:
