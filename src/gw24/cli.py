@@ -85,8 +85,8 @@ def build_parser() -> _Parser:
     )
     ver.add_argument(
         "--workers", type=int, default=1,
-        help="processes for the series convolutions of --exhaustive, at "
-             "most one per CPU (no pool if only one); ignored without it",
+        help="processes for the series of the relation-by-relation check: "
+             "at most one per CPU and per series, no pool if that leaves one",
     )
     ver.add_argument("--cache-path")
     ver.add_argument("--format", choices=("text", "json"), default="text")
@@ -187,31 +187,30 @@ def _record(check: str, failures: list, **extra) -> dict:
 
 def _engine_checks(args, engine: Engine, loaded: int) -> list[dict]:
     """The wdvv-relations and golden-table records of ``verify``."""
-    checked, failures, golden_failures = 0, [], []
+    report = engine.verify_wdvv(
+        args.max_degree, exhaustive=args.exhaustive, workers=args.workers
+    )
+    failures = [
+        {
+            "degree": v.degree,
+            "quadruple": list(v.quadruple),
+            "monomial": list(v.target),
+            "residual": str(v.residual),
+        }
+        for v in report.violations
+    ]
     degrees = range(1, min(args.max_degree, GOLDEN_MAX_DEGREE) + 1)
-    if args.max_degree >= 1:
-        report = engine.verify_wdvv(
-            args.max_degree, exhaustive=args.exhaustive, workers=args.workers
-        )
-        checked = report.equations_checked
-        failures = [
-            {
-                "degree": v.degree,
-                "quadruple": list(v.quadruple),
-                "monomial": list(v.target),
-                "residual": str(v.residual),
-            }
-            for v in report.violations
-        ]
-        for d in degrees:
-            q = engine.q_number(d)
-            if q != GOLDEN_Q[d]:
-                golden_failures.append(
-                    f"degree {d}: computed {q}, reference {GOLDEN_Q[d]}"
-                )
+    golden_failures = []
+    for d in degrees:
+        q = engine.q_number(d)
+        if q != GOLDEN_Q[d]:
+            golden_failures.append(
+                f"degree {d}: computed {q}, reference {GOLDEN_Q[d]}"
+            )
     _maybe_refresh_cache(engine, args.cache_path, loaded)
     return [
-        _record("wdvv-relations", failures, equations_checked=checked),
+        _record("wdvv-relations", failures,
+                equations_checked=report.equations_checked),
         _record("golden-table", golden_failures,
                 matched_rows=len(degrees) - len(golden_failures)),
     ]

@@ -380,20 +380,25 @@ def _worker_series(job):
 def _prefill_series(psi: PsiCalculator, degrees, workers: int) -> None:
     """Compute the product series of ``degrees`` on a pool (pure, read-only).
 
-    Only the representative of each dual orbit goes to the pool; the
-    serial check derives the mirrored series from it on first use.
-    Degree 1 has no splitting into two curve degrees, so no series.
+    The one pool rule of ``verify``: at most ``workers`` processes, one per
+    CPU and one per job, and no pool if that leaves one.  The jobs are the
+    dual-orbit representatives, whose mirrors the serial check derives on
+    first use; degree 1 has no splitting into two degrees, so no series.
     """
-    import multiprocessing as mp
-
+    workers = min(workers, os.cpu_count() or 1)
+    if workers < 2:
+        return
     jobs = sorted({
         (degree, s1, s2)
         for degree in degrees if degree >= 2
         for fam in equation_families() if fam.target_weight(degree) >= 0
         for _coeff, s1, s2 in fam.quantum if (s1, s2) <= dual_pair(s1, s2)
     })
+    if len(jobs) < 2:
+        return
+    import multiprocessing as mp
     ctx = mp.get_context()
-    with ctx.Pool(workers, initializer=_worker_init,
+    with ctx.Pool(min(workers, len(jobs)), initializer=_worker_init,
                   initargs=(psi.tables,)) as pool:
         for (degree, s1, s2), series in pool.imap_unordered(
             _worker_series, jobs, chunksize=4
@@ -414,9 +419,9 @@ def verify_store(
     With ``exhaustive`` every degree is checked relation by relation.
     Otherwise only the degrees that ``_degrees_failing_at_a_point`` flags
     are, which gives the same report unless that check misses (see there).
-    ``workers`` > 1 spreads the series convolutions of the exhaustive
-    check over processes, at most one per CPU, and no pool starts when
-    that leaves one; results are identical to the serial run.
+    ``workers`` > 1 spreads the series of the degrees checked relation by
+    relation over processes, under the rule of ``_prefill_series``;
+    results are identical to the serial run.
     """
     if store.max_degree < max_degree:
         raise MissingValueError(
@@ -432,10 +437,7 @@ def verify_store(
     degrees = (range(1, max_degree + 1) if exhaustive
                else sorted(_degrees_failing_at_a_point(tables, max_degree)))
     psi = PsiCalculator(tables)
-    # The result does not depend on the pool size: start one per CPU at most.
-    workers = min(workers, os.cpu_count() or 1)
-    if exhaustive and workers > 1:
-        _prefill_series(psi, degrees, workers)
+    _prefill_series(psi, degrees, workers)
     violations = [v for d in degrees for v in _check_degree_relations(d, psi)]
     return WdvvReport(
         max_degree=max_degree,

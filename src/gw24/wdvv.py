@@ -359,9 +359,8 @@ class PsiCalculator:
         return total
 
     def series(self, sigma1: Triple, sigma2: Triple, degree: int) -> dict[Tuple4, int]:
-        """The whole product series at total degree ``degree``."""
-        if sigma2 < sigma1:
-            sigma1, sigma2 = sigma2, sigma1
+        """The whole product series at total degree ``degree``; every
+        caller passes ``sigma1 <= sigma2``, the order of the memo keys."""
         memo_key = (degree, sigma1, sigma2)
         cached = self._series.get(memo_key)
         if cached is not None:

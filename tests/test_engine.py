@@ -30,9 +30,11 @@ from gw24.schubert import seed_invariants
 from gw24.wdvv import (
     DUAL,
     PsiCalculator,
+    WdvvEquation,
     build_equation,
     dual_pair,
     equation_families,
+    solve_order,
 )
 
 
@@ -252,6 +254,28 @@ def test_bad_unit_fails_at_the_forcing_relation(engine4):
     eq = build_equation(family, exc.target, 4, PsiCalculator(store.raw_tables()))
     assert (4, 1, 0, 4) in dict(eq.terms)
     assert store.max_degree == 3
+
+
+def test_relation_with_no_open_key_must_vanish(engine4, monkeypatch):
+    # a relation with no open key is checked as it is read.  Relations
+    # whose cross coefficients all cancel, e.g. family (1, 2, 4, 3) at
+    # target (0, 0, 0, 0), have none, but no small error in the tables
+    # reaches this check before another relation fails; so every
+    # assembled relation is made 0 = 1, and the first one is reported
+    def empty_equation(fam, target, degree, psi):
+        return WdvvEquation(fam.quadruple, target, degree, (), 1)
+
+    monkeypatch.setattr(engine_module, "build_equation", empty_equation)
+    with pytest.raises(InconsistencyError) as info:
+        solve_values(engine4.store.raw_tables(), 2, None)
+    _cost, fam_idx, target = solve_order(2)[0]
+    quadruple = equation_families()[fam_idx].quadruple
+    exc = info.value
+    assert (exc.degree, exc.quadruple, exc.target) == (2, quadruple, target)
+    assert str(exc) == (
+        f"degree 2: violated relation at quadruple {quadruple}, "
+        f"monomial {target}"
+    )
 
 
 def test_degree2_mutations_fail_in_parked_relations(engine4):
@@ -519,14 +543,77 @@ def test_workers_are_capped_at_the_cpu_count(engine4, inline_pool, monkeypatch):
     assert inline_pool.sizes == [3]
 
 
-def test_one_cpu_starts_no_pool(engine4, monkeypatch):
-    def get_context(method=None):
-        raise AssertionError("a pool of one process was requested")
+@pytest.fixture
+def no_pool(monkeypatch):
+    """Fail any test that asks for a pool context."""
 
+    def get_context(method=None):
+        raise AssertionError("a pool was requested")
+
+    monkeypatch.setattr(multiprocessing, "get_context", get_context)
+
+
+def test_one_cpu_starts_no_pool(engine4, no_pool, monkeypatch):
     serial = verify_store(engine4.store, 3, workers=1)
     monkeypatch.setattr(os, "cpu_count", lambda: 1)
-    monkeypatch.setattr(multiprocessing, "get_context", get_context)
     assert verify_store(engine4.store, 3, workers=2) == serial
+
+
+@pytest.mark.parametrize("max_degree", [0, 1])
+def test_no_series_starts_no_pool(engine4, no_pool, monkeypatch, max_degree):
+    # degrees 0 and 1 have no product series to share out
+    serial = verify_store(engine4.store, max_degree, workers=1)
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    assert verify_store(engine4.store, max_degree, workers=4) == serial
+
+
+def test_default_check_pools_the_series_of_the_flagged_degrees(
+    engine4, inline_pool, monkeypatch
+):
+    # N(9,0,0,0;2) = 3 instead of 2: the point check flags degrees 2, 3
+    # and 4, and their relation-by-relation check uses the pool
+    store = InvariantStore()
+    for d in (1, 2, 3, 4):
+        table = dict(engine4.store.canonical_table(d))
+        if d == 2:
+            table[(9, 0, 0, 0)] = 3
+        store.commit_degree(d, table)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    serial = verify_store(store, 4, exhaustive=False, workers=1)
+    assert Counter(v.degree for v in serial.violations) == {2: 2, 3: 114, 4: 856}
+    assert verify_store(store, 4, exhaustive=False, workers=2) == serial
+    assert inline_pool.sizes == [2]
+    representatives = {
+        (degree, *min((s1, s2), dual_pair(s1, s2)))
+        for degree in (2, 3, 4)
+        for fam in equation_families() if fam.target_weight(degree) >= 0
+        for _coeff, s1, s2 in fam.quantum
+    }
+    assert sorted(inline_pool.jobs) == sorted(representatives)
+    # a correct store flags no degree, so no pool starts
+    assert verify_store(engine4.store, 4, exhaustive=False, workers=2).ok
+    assert inline_pool.sizes == [2]
+
+
+def test_point_check_draws_a_prime_on_every_run(engine4, monkeypatch):
+    draws = []
+    randbits = engine_module.secrets.randbits
+
+    def recording_randbits(k):
+        draws.append(randbits(k))
+        return draws[-1]
+
+    monkeypatch.setattr(engine_module.secrets, "randbits", recording_randbits)
+    primes = []
+    for _run in range(2):
+        draws.clear()
+        assert verify_store(engine4.store, 3, exhaustive=False).ok
+        # a run draws until its first prime
+        candidates = (x | (1 << 60) | 1 for x in draws)
+        (prime,) = [p for p in candidates if engine_module._is_prime(p)]
+        primes.append(prime)
+    # two draws of a 61-bit prime coincide with negligible probability
+    assert primes[0] != primes[1]
 
 
 def test_pool_convolves_exactly_the_series_the_check_reads(

@@ -264,8 +264,8 @@ def naive_series(tables, sigma1, sigma2, degree):
 
 
 def test_series_matches_naive_convolution():
-    # covers the convolved orbit representatives and the series derived
-    # from them by the Ta <-> Tb swap
+    # covers the convolved orbit representatives, the series derived
+    # from them by the Ta <-> Tb swap, and one pair in unsorted order
     eng = Engine()
     eng.solve_up_to(4)
     tables = eng.store.raw_tables()
@@ -278,7 +278,9 @@ def test_series_matches_naive_convolution():
     })
     mirrored = [j for j in jobs if dual_pair(j[1], j[2]) < j[1:]]
     assert mirrored and len(mirrored) < len(jobs)
-    for degree, sigma1, sigma2 in jobs:
+    # the product is symmetric, so an unsorted pair gives the same series
+    swapped = next((d, s2, s1) for d, s1, s2 in jobs if s1 != s2)
+    for degree, sigma1, sigma2 in jobs + [swapped]:
         assert psi.series(sigma1, sigma2, degree) == naive_series(
             tables, sigma1, sigma2, degree
         ), (degree, sigma1, sigma2)
