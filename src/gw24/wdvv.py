@@ -31,7 +31,19 @@ Structure exploited throughout this module:
   degree are fixed, so a degree's table splits into weight lines indexed
   by alpha, and the splittings of one target that share (gamma, delta) in
   each factor and the first factor's degree form one contiguous window of
-  two lines: a single product constant is a sum of such dot products.
+  two lines: a single product constant is a sum of such dot products;
+* a whole product series is a sum of products of weight lines.  When the
+  two factors of a splitting (a1, b1) + (a2, b2) = (A, B) lie on lines
+  with alpha + beta = r1 and r2, then A + B = R = r1 + r2, and the
+  identity comb(A, a1) comb(B, b1) = comb(r1, a1) comb(r2, a2)
+  comb(R, r1) / comb(R, A) splits its binomials into one per factor
+  entry, one per pair of lines and one per output entry.  So each line,
+  scaled by its Pascal row, is packed into one integer with a fixed slot
+  width (Kronecker substitution), one integer product convolves two
+  lines, and slot A of the summed products is comb(R, A) times the
+  series.  The values must be nonnegative (the store enforces it), so no
+  slot borrows, and the width bounds the final slots (see
+  ``PsiCalculator.slot_width``).
 
 All arithmetic is exact integer arithmetic.
 """
@@ -87,13 +99,6 @@ def dual_pair(sigma1: Triple, sigma2: Triple) -> tuple[Triple, Triple]:
 def pascal_row(n: int) -> tuple[int, ...]:
     """Row n of Pascal's triangle: ``pascal_row(n)[k] == comb(n, k)``."""
     return tuple(comb(n, k) for k in range(n + 1))
-
-
-@lru_cache(maxsize=None)
-def pascal_column(k: int, n: int) -> tuple[int, ...]:
-    """Column k of Pascal's triangle down to row k + n:
-    ``pascal_column(k, n)[j] == comb(k + j, k)`` for j <= n."""
-    return tuple(comb(k + j, k) for j in range(n + 1))
 
 
 @dataclass(frozen=True)
@@ -242,18 +247,23 @@ class PsiCalculator:
     containing every valid exponent tuple of that degree in both symmetry
     orientations, with equal values (the Ta <-> Tb duality).
     ``shifted_items`` reindexes one degree's nonzero values by the target
-    monomials a quantum third partial feeds, which is both a factor of the
-    products below and a relation's cross part at its own degree.
+    monomials a quantum third partial feeds: a relation's cross part at
+    its own degree.
     ``weight_lines`` reindexes one degree's table as tuples of values
     indexed by alpha, one per (gamma, delta).  Two evaluation modes for
     the products: ``at`` sums the splittings of a single target as dot
     products over windows of weight lines and Pascal rows (cheap for one
-    equation), ``series`` convolves whole degree tables (cheap when a
-    family needs every target of its weight class) and derives a pair's
-    series from its dual pair's by swapping alpha and beta, so each dual
-    orbit is convolved once.  Binomials come from the cached Pascal rows
-    and columns.  All are pure given the tables and memoized, so instances
-    may be shared by concurrent readers once built.
+    equation), ``series`` computes every target of a weight class at once
+    (cheap when a family needs them all).  It multiplies the
+    ``packed_lines`` of the two factors pairwise, one integer product per
+    pair of weight lines, into one packed accumulator per output line,
+    and divides slot alpha of each by comb(R, alpha); ``slot_width``
+    derives the slot width that keeps this exact, which needs every value
+    to be nonnegative.  A pair's series is derived from its dual pair's
+    by swapping alpha and beta, so each dual orbit is computed once.
+    Binomials come from the cached Pascal rows.  All are pure given the
+    tables and memoized, so instances may be shared by concurrent readers
+    once built.
     """
 
     def __init__(self, tables: dict[int, dict[Tuple4, int]]):
@@ -261,14 +271,16 @@ class PsiCalculator:
         self._items: dict[tuple[int, Triple], list] = {}
         self._series: dict[tuple[int, Triple, Triple], dict[Tuple4, int]] = {}
         self._lines: dict[int, dict[tuple[int, int], tuple[int, ...]]] = {}
+        self._packed: dict[tuple[int, Triple, int], list] = {}
+        self._widths: dict[int, int] = {}
 
     def shifted_items(self, degree: int, sigma: Triple):
         """Nonzero degree-``degree`` values reindexed by target exponents.
 
         Entry (a, b, g, e, v * degree**n1) stands for the key
-        (a,b,g,e) + shift(sigma); keys not dominating the shift contribute
-        nothing to any product and are dropped.  ``sigma`` never holds the
-        unit class: ``equation_families`` drops those terms.
+        (a,b,g,e) + shift(sigma); keys not dominating the shift feed no
+        monomial and are dropped.  ``sigma`` never holds the unit class:
+        ``equation_families`` drops those terms.
         """
         memo_key = (degree, sigma)
         cached = self._items.get(memo_key)
@@ -358,6 +370,65 @@ class PsiCalculator:
                         total += wgd * dpow[d1] * s
         return total
 
+    def slot_width(self, degree: int) -> int:
+        """Bits per slot of the packed lines that ``series`` multiplies at
+        total degree ``degree``: S = bits(W comb(4 degree + 2, 2 degree + 1))
+        + 4 degree + 2, where V_d = d**3 * max N(d) bounds every value
+        d**n1 * N of a degree-d line and W is the largest V_d1 V_(degree - d1).
+
+        Slot alpha of the accumulator of output line (gamma, delta) ends
+        at comb(R, alpha) times the series there: the sum, over d1 and the
+        line pairs of that output, of comb(gamma, gamma1) comb(delta,
+        delta1) comb(R, r1) sum_a comb(r1, a) comb(r2, alpha - a) L1[a]
+        L2[alpha - a].  The inner sum is at most W comb(R, alpha)
+        (Vandermonde).  For fixed (gamma1, delta1) the d1 give distinct
+        r1 = 4 d1 + const, so their comb(R, r1) sum to at most 2**R, and the
+        binomials in gamma1 and delta1 sum to 2**(gamma + delta).  The slot
+        is thus at most W 2**(R + gamma + delta) comb(R, alpha), which is
+        largest at gamma = delta = 0 and R = 4 degree + 2, the most that
+        R + 2 gamma + 3 delta can be, and so below 2**S.  Every value is
+        nonnegative, so no partial sum exceeds the final slot and no slot
+        borrows from or carries into its neighbours.
+        """
+        width = self._widths.get(degree)
+        if width is None:
+            v = [d**3 * max(self.tables[d].values()) for d in range(1, degree)]
+            w = max(map(mul, v, reversed(v)), default=0)
+            width = (w * comb(4 * degree + 2, 2 * degree + 1)).bit_length()
+            width += 4 * degree + 2
+            self._widths[degree] = width
+        return width
+
+    def packed_lines(self, degree: int, sigma: Triple, width: int):
+        """One factor of ``series``: the nonzero weight lines of ``degree``
+        shifted by ``sigma``, each packed into one integer.
+
+        Entry (gamma, delta, r, P) stands for the target monomials
+        (a, r - a, gamma, delta), a = 0..r, that the keys of one weight
+        line feed, with values L[a] = degree**n1 * N(a + shift); P packs
+        comb(r, a) * L[a] into the slot of ``width`` bits at index a.
+        """
+        memo_key = (degree, sigma, width)
+        cached = self._packed.get(memo_key)
+        if cached is not None:
+            return cached
+        (sa, sb, sg, se), n1, _alive = triple_info(sigma)
+        dpow = degree**n1
+        packed = []
+        for (g, e), line in self.weight_lines(degree).items():
+            r = len(line) - 1 - sa - sb
+            if g < sg or e < se or r < 0:
+                continue
+            values = line[sa:sa + r + 1]
+            if not any(values):
+                continue
+            p = 0
+            for c, v in zip(reversed(pascal_row(r)), reversed(values)):
+                p = (p << width) + c * v * dpow
+            packed.append((g - sg, e - se, r, p))
+        self._packed[memo_key] = packed
+        return packed
+
     def series(self, sigma1: Triple, sigma2: Triple, degree: int) -> dict[Tuple4, int]:
         """The whole product series at total degree ``degree``; every
         caller passes ``sigma1 <= sigma2``, the order of the memo keys."""
@@ -371,25 +442,32 @@ class PsiCalculator:
             out = {(b, a, g, e): v for (a, b, g, e), v in rep.items()}
             self._series[memo_key] = out
             return out
-        out: dict[Tuple4, int] = {}
-        get = out.get
-        # Every exponent of a key below ``degree`` is at most 4 * degree.
-        n = 4 * degree
+        width = self.slot_width(degree)
+        rows = [pascal_row(n) for n in range(4 * degree + 3)]
+        # One accumulator per output line (gamma, delta, R), whose slot
+        # alpha sums to comb(R, alpha) * series(alpha, R - alpha, gamma, delta).
+        acc: dict[tuple[int, int, int], int] = {}
+        get = acc.get
         for d1 in range(1, degree):
-            items1 = self.shifted_items(d1, sigma1)
-            if not items1:
+            lines1 = self.packed_lines(d1, sigma1, width)
+            if not lines1:
                 continue
-            items2 = self.shifted_items(degree - d1, sigma2)
-            if not items2:
-                continue
-            for a1, b1, g1, e1, v1 in items1:
-                col_a, col_b = pascal_column(a1, n), pascal_column(b1, n)
-                col_g, col_e = pascal_column(g1, n), pascal_column(e1, n)
-                for a2, b2, g2, e2, v2 in items2:
-                    t = (a1 + a2, b1 + b2, g1 + g2, e1 + e2)
-                    out[t] = get(t, 0) + (
-                        col_a[a2] * col_b[b2] * col_g[g2] * col_e[e2] * v1 * v2
-                    )
+            lines2 = self.packed_lines(degree - d1, sigma2, width)
+            for g1, e1, r1, p1 in lines1:
+                for g2, e2, r2, p2 in lines2:
+                    g, e, r = g1 + g2, e1 + e2, r1 + r2
+                    key = (g, e, r)
+                    acc[key] = get(key, 0) + (
+                        rows[g][g1] * rows[e][e1] * rows[r][r1] * (p1 * p2))
+        out: dict[Tuple4, int] = {}
+        mask = (1 << width) - 1
+        for (g, e, r), total in acc.items():
+            row = rows[r]
+            for a in range(r + 1):
+                v = total & mask
+                if v:
+                    out[(a, r - a, g, e)] = v // row[a]
+                total >>= width
         self._series[memo_key] = out
         return out
 

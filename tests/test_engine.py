@@ -402,6 +402,33 @@ def test_point_check_flags_every_single_value_mutation(tables5, data):
         assert report == verify_store(store, degree, exhaustive=True)
 
 
+@pytest.fixture(scope="module")
+def tables6():
+    eng = Engine()
+    eng.solve_up_to(6)
+    return {d: eng.store.canonical_table(d) for d in range(1, 7)}
+
+
+@settings(max_examples=5, deadline=None, database=None)
+@given(data=st.data())
+def test_point_check_flags_every_degree6_single_value_mutation(tables6, data):
+    # the same check at degree 6, against the exhaustive reference
+    key = data.draw(st.sampled_from(sorted(tables6[6])), label="key")
+    for delta in (1, -1, 2**61 - 1):
+        value = tables6[6][key] + delta
+        if value < 0:
+            continue
+        store = InvariantStore()
+        for d in range(1, 7):
+            table = dict(tables6[d])
+            if d == 6:
+                table[key] = value
+            store.commit_degree(d, table)
+        report = verify_store(store, 6, exhaustive=False)
+        assert not report.ok, (key, delta)
+        assert report == verify_store(store, 6, exhaustive=True)
+
+
 def test_miller_rabin_matches_sympy():
     from sympy import isprime
 

@@ -7,6 +7,7 @@ quantum third-partials give binomially weighted splittings over lower
 degrees.
 """
 
+import random
 from collections import Counter
 from itertools import product
 from math import comb
@@ -25,7 +26,6 @@ from gw24.wdvv import (
     build_equation,
     dual_pair,
     equation_families,
-    pascal_column,
     pascal_row,
     solve_order,
     triple_info,
@@ -230,12 +230,9 @@ def test_constant_paths_agree():
 
 
 def test_pascal_tables_match_comb():
-    # every binomial comb(n, k) with n <= 60, read as a row and as a column
+    # every binomial comb(n, k) with n <= 60
     for n in range(61):
         assert pascal_row(n) == tuple(comb(n, k) for k in range(n + 1))
-        assert pascal_column(n, 60 - n) == tuple(
-            comb(n + j, n) for j in range(61 - n)
-        )
 
 
 def naive_series(tables, sigma1, sigma2, degree):
@@ -281,6 +278,49 @@ def test_series_matches_naive_convolution():
     # the product is symmetric, so an unsorted pair gives the same series
     swapped = next((d, s2, s1) for d, s1, s2 in jobs if s1 != s2)
     for degree, sigma1, sigma2 in jobs + [swapped]:
+        assert psi.series(sigma1, sigma2, degree) == naive_series(
+            tables, sigma1, sigma2, degree
+        ), (degree, sigma1, sigma2)
+
+
+def full_tables(max_degree, draw):
+    """Tables holding every key of degrees 1..max_degree in both
+    orientations, with one drawn value per canonical key."""
+    tables = {}
+    for d in range(1, max_degree + 1):
+        table = {}
+        for a, b, g, e in tuples_of_weight(4 * d + 1):
+            if a >= b:
+                table[a, b, g, e] = table[b, a, g, e] = draw()
+        tables[d] = table
+    return tables
+
+
+@pytest.mark.parametrize("values", ["random", "ones-1", "ones-400"])
+def test_series_exact_at_its_slot_width(values):
+    # the packed kernel against the definition, on random values of up to
+    # 400 bits and on tables where every value is 2**k - 1: every pair of
+    # the relations up to degree 4, and up to degree 6 the shift-free pair
+    # (T1,T1,T1)^2, which no relation uses but whose output lines are the
+    # longest, so that on these tables its slots come within a few bits
+    # of the width
+    rng = random.Random(12)
+    draw = {
+        "random": lambda: rng.getrandbits(rng.randint(0, 400)),
+        "ones-1": lambda: 1,
+        "ones-400": lambda: 2**400 - 1,
+    }[values]
+    tables = full_tables(5, draw)
+    psi = PsiCalculator(tables)
+    free = (1, 1, 1)
+    jobs = [(degree, free, free) for degree in range(2, 7)]
+    jobs += sorted({
+        (degree, s1, s2)
+        for degree in range(2, 5)
+        for fam in equation_families() if fam.target_weight(degree) >= 0
+        for _coeff, s1, s2 in fam.quantum if (s1, s2) <= dual_pair(s1, s2)
+    })
+    for degree, sigma1, sigma2 in jobs:
         assert psi.series(sigma1, sigma2, degree) == naive_series(
             tables, sigma1, sigma2, degree
         ), (degree, sigma1, sigma2)
