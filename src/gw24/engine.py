@@ -14,7 +14,8 @@ and never change.
 Equation generation and ``solve_values`` are pure given a read-only
 snapshot of the lower degrees, so verification work can be split across
 processes; commits happen on a single writer at each degree boundary.
-The verifier checks every relation, by default at one random point.
+The verifier checks every relation: relation by relation by default, or
+first at one random point (``exhaustive=False``, the CLI's default).
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from collections import Counter, deque
 from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial
+from operator import attrgetter
 from typing import Iterator, NamedTuple
 
 from .keys import (
@@ -447,23 +449,25 @@ def verify_store(
 
 
 def _check_degree_relations(degree: int, psi: PsiCalculator) -> list[Violation]:
-    """Every relation of one degree, as aggregated residual series."""
+    """Every relation of one degree, as residual weight lines: each family
+    sums its cross and quantum terms line by line, and slot a of line
+    (gamma, delta, R) is the residual at target (a, R - a, gamma, delta)."""
     violations = []
     for fam in equation_families():
         if fam.target_weight(degree) < 0:
             continue
-        residual: dict[Tuple4, int] = {}
-        get = residual.get
-        for coeff, sigma, _shift, _n1 in fam.cross:
-            for a, b, g, e, v in psi.shifted_items(degree, sigma):
-                t = (a, b, g, e)
-                residual[t] = get(t, 0) + coeff * v
-        for coeff, sigma1, sigma2 in fam.quantum:
-            for t, v in psi.series(sigma1, sigma2, degree).items():
-                residual[t] = get(t, 0) + coeff * v
-        for t, v in sorted(residual.items()):
-            if v:
-                violations.append(Violation(degree, fam.quadruple, t, v))
+        terms = [(c, psi.shifted_lines(degree, s)) for c, s, _, _ in fam.cross]
+        terms += [(c, psi.series(s1, s2, degree)) for c, s1, s2 in fam.quantum]
+        residual: dict[tuple[int, int, int], list[int]] = {}
+        for coeff, lines in terms:
+            for key, line in lines.items():
+                acc = residual.get(key) or [0] * len(line)
+                residual[key] = [x + coeff * v for x, v in zip(acc, line)]
+        violations += sorted((
+            Violation(degree, fam.quadruple, (a, r - a, g, e), v)
+            for (g, e, r), line in residual.items() if any(line)
+            for a, v in enumerate(line) if v
+        ), key=attrgetter("target"))
     return violations
 
 

@@ -25,7 +25,7 @@ Structure exploited throughout this module:
 * G(2,4) is self-dual, and the duality swaps Ta and Tb while fixing the
   other classes, so N(a,b,g,e;d) = N(b,a,g,e;d) and a product series
   over the triples (sigma1, sigma2) is the series over their duals with
-  the alpha and beta exponents swapped: only one pair of each dual orbit
+  every weight line (below) reversed: only one pair of each dual orbit
   is ever convolved;
 * the weight condition ties alpha to beta once (gamma, delta) and the
   degree are fixed, so a degree's table splits into weight lines indexed
@@ -43,7 +43,9 @@ Structure exploited throughout this module:
   lines, and slot A of the summed products is comb(R, A) times the
   series.  The values must be nonnegative (the store enforces it), so no
   slot borrows, and the width bounds the final slots (see
-  ``PsiCalculator.slot_width``).
+  ``PsiCalculator.slot_width``).  A series is thus a set of weight lines
+  keyed (gamma, delta, R), as are a relation's cross terms, and a
+  family's residuals at one degree are sums of such lines.
 
 All arithmetic is exact integer arithmetic.
 """
@@ -73,6 +75,8 @@ Pair = tuple[int, int]
 Pairing = tuple[Pair, Pair]
 Triple = tuple[int, int, int]
 Tuple4 = tuple[int, int, int, int]
+# Weight lines: (gamma, delta, R) -> the values at (a, R - a, gamma, delta).
+Lines = dict[tuple[int, int, int], tuple[int, ...]]
 
 
 @lru_cache(maxsize=None)
@@ -246,21 +250,21 @@ class PsiCalculator:
     ``tables`` maps each solved degree to its raw table {(a,b,g,d): value}
     containing every valid exponent tuple of that degree in both symmetry
     orientations, with equal values (the Ta <-> Tb duality).
-    ``shifted_items`` reindexes one degree's nonzero values by the target
-    monomials a quantum third partial feeds: a relation's cross part at
-    its own degree.
     ``weight_lines`` reindexes one degree's table as tuples of values
-    indexed by alpha, one per (gamma, delta).  Two evaluation modes for
+    indexed by alpha, one per (gamma, delta), and ``shifted_lines``
+    reindexes those lines by the targets a quantum third partial feeds: a
+    relation's cross part at its own degree.  Two evaluation modes for
     the products: ``at`` sums the splittings of a single target as dot
     products over windows of weight lines and Pascal rows (cheap for one
     equation), ``series`` computes every target of a weight class at once
-    (cheap when a family needs them all).  It multiplies the
-    ``packed_lines`` of the two factors pairwise, one integer product per
-    pair of weight lines, into one packed accumulator per output line,
-    and divides slot alpha of each by comb(R, alpha); ``slot_width``
-    derives the slot width that keeps this exact, which needs every value
-    to be nonnegative.  A pair's series is derived from its dual pair's
-    by swapping alpha and beta, so each dual orbit is computed once.
+    (cheap when a family needs them all), in the line form of
+    ``shifted_lines``.  It multiplies the ``packed_lines`` of the two
+    factors pairwise, one integer product per pair of lines, into one
+    packed accumulator per output line, and divides slot alpha of each by
+    comb(R, alpha); ``slot_width`` derives the slot width that keeps this
+    exact, which needs every value to be nonnegative.  A pair's series is
+    its dual pair's with every line reversed (alpha and beta swapped), so
+    each dual orbit is computed once.
     Binomials come from the cached Pascal rows.  All are pure given the
     tables and memoized, so instances may be shared by concurrent readers
     once built.
@@ -268,32 +272,11 @@ class PsiCalculator:
 
     def __init__(self, tables: dict[int, dict[Tuple4, int]]):
         self.tables = tables
-        self._items: dict[tuple[int, Triple], list] = {}
-        self._series: dict[tuple[int, Triple, Triple], dict[Tuple4, int]] = {}
+        self._shifted: dict[tuple[int, Triple], Lines] = {}
+        self._series: dict[tuple[int, Triple, Triple], Lines] = {}
         self._lines: dict[int, dict[tuple[int, int], tuple[int, ...]]] = {}
         self._packed: dict[tuple[int, Triple, int], list] = {}
         self._widths: dict[int, int] = {}
-
-    def shifted_items(self, degree: int, sigma: Triple):
-        """Nonzero degree-``degree`` values reindexed by target exponents.
-
-        Entry (a, b, g, e, v * degree**n1) stands for the key
-        (a,b,g,e) + shift(sigma); keys not dominating the shift feed no
-        monomial and are dropped.  ``sigma`` never holds the unit class:
-        ``equation_families`` drops those terms.
-        """
-        memo_key = (degree, sigma)
-        cached = self._items.get(memo_key)
-        if cached is not None:
-            return cached
-        (sa, sb, sg, se), n1, _alive = triple_info(sigma)
-        items = []
-        dpow = degree**n1
-        for (a, b, g, e), v in self.tables[degree].items():
-            if v and a >= sa and b >= sb and g >= sg and e >= se:
-                items.append((a - sa, b - sb, g - sg, e - se, v * dpow))
-        self._items[memo_key] = items
-        return items
 
     def weight_lines(self, degree: int) -> dict[tuple[int, int], tuple[int, ...]]:
         """One degree's table as weight lines: (gamma, delta) -> the values
@@ -312,6 +295,30 @@ class PsiCalculator:
                 lines[(g, e)] = tuple(raw[(a, r - a, g, e)] for a in range(r + 1))
         self._lines[degree] = lines
         return lines
+
+    def shifted_lines(self, degree: int, sigma: Triple) -> Lines:
+        """One degree's weight lines reindexed by the targets that a quantum
+        third partial over ``sigma`` feeds (a relation's cross part at its
+        own degree, and one factor of ``series``): L[a] = degree**n1 *
+        N(a + shift) at (a, r - a, gamma, delta).  Lines that cannot carry
+        the shift or are all zero are left out; ``sigma`` never holds the
+        unit class (``equation_families`` drops those terms)."""
+        memo_key = (degree, sigma)
+        cached = self._shifted.get(memo_key)
+        if cached is not None:
+            return cached
+        (sa, sb, sg, se), n1, _alive = triple_info(sigma)
+        dpow = degree**n1
+        shifted = {}
+        for (g, e), line in self.weight_lines(degree).items():
+            r = len(line) - 1 - sa - sb
+            if g < sg or e < se or r < 0:
+                continue
+            values = line[sa:sa + r + 1]
+            if any(values):
+                shifted[(g - sg, e - se, r)] = tuple(v * dpow for v in values)
+        self._shifted[memo_key] = shifted
+        return shifted
 
     def at(self, sigma1: Triple, sigma2: Triple, target: Tuple4, degree: int) -> int:
         """Coefficient of the target monomial in the product of the two
@@ -400,38 +407,26 @@ class PsiCalculator:
         return width
 
     def packed_lines(self, degree: int, sigma: Triple, width: int):
-        """One factor of ``series``: the nonzero weight lines of ``degree``
-        shifted by ``sigma``, each packed into one integer.
-
-        Entry (gamma, delta, r, P) stands for the target monomials
-        (a, r - a, gamma, delta), a = 0..r, that the keys of one weight
-        line feed, with values L[a] = degree**n1 * N(a + shift); P packs
-        comb(r, a) * L[a] into the slot of ``width`` bits at index a.
-        """
+        """The ``shifted_lines`` of ``series``' factors, each packed into
+        one integer: entry (gamma, delta, r, P) packs comb(r, a) * L[a]
+        into the slot of ``width`` bits at index a."""
         memo_key = (degree, sigma, width)
         cached = self._packed.get(memo_key)
         if cached is not None:
             return cached
-        (sa, sb, sg, se), n1, _alive = triple_info(sigma)
-        dpow = degree**n1
         packed = []
-        for (g, e), line in self.weight_lines(degree).items():
-            r = len(line) - 1 - sa - sb
-            if g < sg or e < se or r < 0:
-                continue
-            values = line[sa:sa + r + 1]
-            if not any(values):
-                continue
+        for (g, e, r), line in self.shifted_lines(degree, sigma).items():
             p = 0
-            for c, v in zip(reversed(pascal_row(r)), reversed(values)):
-                p = (p << width) + c * v * dpow
-            packed.append((g - sg, e - se, r, p))
+            for c, v in zip(reversed(pascal_row(r)), reversed(line)):
+                p = (p << width) + c * v
+            packed.append((g, e, r, p))
         self._packed[memo_key] = packed
         return packed
 
-    def series(self, sigma1: Triple, sigma2: Triple, degree: int) -> dict[Tuple4, int]:
-        """The whole product series at total degree ``degree``; every
-        caller passes ``sigma1 <= sigma2``, the order of the memo keys."""
+    def series(self, sigma1: Triple, sigma2: Triple, degree: int) -> Lines:
+        """The whole product series at total degree ``degree``, as one
+        weight line per output line (gamma, delta, R); every caller passes
+        ``sigma1 <= sigma2``, the order of the memo keys."""
         memo_key = (degree, sigma1, sigma2)
         cached = self._series.get(memo_key)
         if cached is not None:
@@ -439,7 +434,7 @@ class PsiCalculator:
         dual = dual_pair(sigma1, sigma2)
         if dual < (sigma1, sigma2):
             rep = self.series(*dual, degree)
-            out = {(b, a, g, e): v for (a, b, g, e), v in rep.items()}
+            out = {key: line[::-1] for key, line in rep.items()}
             self._series[memo_key] = out
             return out
         width = self.slot_width(degree)
@@ -459,15 +454,14 @@ class PsiCalculator:
                     key = (g, e, r)
                     acc[key] = get(key, 0) + (
                         rows[g][g1] * rows[e][e1] * rows[r][r1] * (p1 * p2))
-        out: dict[Tuple4, int] = {}
+        out = {}
         mask = (1 << width) - 1
-        for (g, e, r), total in acc.items():
-            row = rows[r]
-            for a in range(r + 1):
-                v = total & mask
-                if v:
-                    out[(a, r - a, g, e)] = v // row[a]
+        for key, total in acc.items():
+            line = []
+            for c in rows[key[2]]:
+                line.append((total & mask) // c)
                 total >>= width
+            out[key] = tuple(line)
         self._series[memo_key] = out
         return out
 

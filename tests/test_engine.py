@@ -505,6 +505,25 @@ def test_mutation_violations_are_closed_under_duality(engine4):
     assert mirrored == found
 
 
+def test_failing_report_is_ordered_by_degree_family_and_target(engine4):
+    # a wrong degree-2 value breaks relations at degrees 2 and 3; the report
+    # lists them by degree, then by family index, then by target, in both
+    # modes
+    tables = {d: dict(engine4.store.canonical_table(d)) for d in (1, 2, 3)}
+    tables[2][(9, 0, 0, 0)] = 3
+    store = InvariantStore()
+    for d in (1, 2, 3):
+        store.commit_degree(d, tables[d])
+    report = verify_store(store, 3, exhaustive=True)
+    index = {f.quadruple: i for i, f in enumerate(equation_families())}
+    assert len(index) == len(equation_families())
+    order = [(v.degree, index[v.quadruple], v.target) for v in report.violations]
+    assert order == sorted(order)
+    assert {2, 3} <= {v.degree for v in report.violations}
+    assert len(set(order)) == len(order)
+    assert report.violations == verify_store(store, 3, exhaustive=False).violations
+
+
 def test_verify_requires_solved_degrees():
     eng = Engine()
     eng.solve_up_to(1)

@@ -221,7 +221,7 @@ def test_constant_paths_agree():
             if pair in seen:
                 continue
             seen.add(pair)
-            series = psi.series(sigma1, sigma2, 3)
+            series = as_entries(psi.series(sigma1, sigma2, 3))
             for target in tuples_of_weight(w):
                 assert psi.at(sigma1, sigma2, target, 3) == series.get(
                     target, 0
@@ -233,6 +233,16 @@ def test_pascal_tables_match_comb():
     # every binomial comb(n, k) with n <= 60
     for n in range(61):
         assert pascal_row(n) == tuple(comb(n, k) for k in range(n + 1))
+
+
+def as_entries(lines):
+    """A line-keyed series or shifted table as {(a, R - a, gamma, delta):
+    value}, with the zero slots dropped."""
+    return {
+        (a, r - a, g, e): v
+        for (g, e, r), line in lines.items()
+        for a, v in enumerate(line) if v
+    }
 
 
 def naive_series(tables, sigma1, sigma2, degree):
@@ -278,7 +288,7 @@ def test_series_matches_naive_convolution():
     # the product is symmetric, so an unsorted pair gives the same series
     swapped = next((d, s2, s1) for d, s1, s2 in jobs if s1 != s2)
     for degree, sigma1, sigma2 in jobs + [swapped]:
-        assert psi.series(sigma1, sigma2, degree) == naive_series(
+        assert as_entries(psi.series(sigma1, sigma2, degree)) == naive_series(
             tables, sigma1, sigma2, degree
         ), (degree, sigma1, sigma2)
 
@@ -321,7 +331,7 @@ def test_series_exact_at_its_slot_width(values):
         for _coeff, s1, s2 in fam.quantum if (s1, s2) <= dual_pair(s1, s2)
     })
     for degree, sigma1, sigma2 in jobs:
-        assert psi.series(sigma1, sigma2, degree) == naive_series(
+        assert as_entries(psi.series(sigma1, sigma2, degree)) == naive_series(
             tables, sigma1, sigma2, degree
         ), (degree, sigma1, sigma2)
 
@@ -367,6 +377,32 @@ def test_at_matches_naive_series(tables5, degree):
                 # every window of the kernel is a single element here
                 beta_zero_hits += 1
     assert beta_zero_hits
+
+
+def test_shifted_lines_reindex_the_table(tables5):
+    # every triple of a relation's cross part, against the keys of the
+    # table that dominate its shift, reindexed one by one
+    psi = PsiCalculator(tables5)
+    sigmas = sorted({s for f in equation_families() for _c, s, _sh, _n1 in f.cross})
+    for degree in range(1, 6):
+        for sigma in sigmas:
+            shift, n1, _alive = triple_info(sigma)
+            naive = {
+                tuple(k - s for k, s in zip(key, shift)): v * degree**n1
+                for key, v in tables5[degree].items()
+                if all(k >= s for k, s in zip(key, shift))
+            }
+            lines = psi.shifted_lines(degree, sigma)
+            assert all(any(line) for line in lines.values()), (degree, sigma)
+            slots = {
+                (a, r - a, g, e): v
+                for (g, e, r), line in lines.items()
+                for a, v in enumerate(line)
+            }
+            assert slots.items() <= naive.items(), (degree, sigma)
+            assert as_entries(lines) == {
+                t: v for t, v in naive.items() if v
+            }, (degree, sigma)
 
 
 def test_at_vanishes_at_degree_one(tables5):
