@@ -22,6 +22,7 @@ import hashlib
 import json
 import os
 import random
+import re
 import tempfile
 
 from .engine import InvariantStore
@@ -32,6 +33,11 @@ SCHEMA_VERSION = 1
 _SAMPLE_ROWS_PER_DEGREE = 4
 _SAMPLE_EQUATIONS_PER_ROW = 2
 _SAMPLE_RNG_SEED = 0x67773234
+# Rows hold only what the writer writes: digits, ' ', '-' and line breaks
+# (int() also reads '+', '_', other digits and other spaces), and no
+# number with a leading zero or a minus sign on zero.
+_NOT_ROW_CHARS = str.maketrans("", "", "0123456789 -\n")
+_LEADING_ZERO = re.compile(" 0[0-9]")
 
 
 class CacheError(Exception):
@@ -105,6 +111,10 @@ def load_store(path: str, seed_set: SeedSet) -> InvariantStore:
     if header.get("content_digest") != _content_digest(rows):
         raise CacheError("content digest mismatch: cache rows were modified")
 
+    if not _as_written("\n".join(rows)):
+        line = next(line for line in rows if not _as_written(line))
+        raise CacheError(f"malformed row: {line!r}")
+
     tables: dict[int, dict] = {}
     for line in rows:
         fields = line.split()
@@ -125,6 +135,11 @@ def load_store(path: str, seed_set: SeedSet) -> InvariantStore:
     degrees = sorted(tables)
     if degrees != list(range(1, degrees[-1] + 1)):
         raise CacheError(f"cache degrees are not contiguous from 1: {degrees}")
+    if header.get("max_degree") != degrees[-1]:
+        raise CacheError(
+            f"header max_degree {header.get('max_degree')!r} does not match "
+            f"the rows' degrees 1..{degrees[-1]}"
+        )
 
     store = InvariantStore()
     try:
@@ -135,6 +150,14 @@ def load_store(path: str, seed_set: SeedSet) -> InvariantStore:
 
     _verify_sample(store)
     return store
+
+
+def _as_written(text: str) -> bool:
+    """Whether every integer in the rows ``text`` is in the form
+    ``str(int)`` gives; cheap enough for a whole d <= 9 row block."""
+    text = " " + text.replace("\n", " ")
+    return not (text.translate(_NOT_ROW_CHARS) or "-0" in text
+                or _LEADING_ZERO.search(text))
 
 
 def _verify_sample(store: InvariantStore) -> None:

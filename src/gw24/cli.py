@@ -85,8 +85,8 @@ def build_parser() -> _Parser:
     )
     ver.add_argument(
         "--workers", type=int, default=1,
-        help="processes for the series of the relation-by-relation check: "
-             "at most one per CPU and per series, no pool if that leaves one",
+        help="processes for the relation-by-relation check: at most one per "
+             "CPU and per degree checked, no pool if that leaves one",
     )
     ver.add_argument("--cache-path")
     ver.add_argument("--format", choices=("text", "json"), default="text")

@@ -7,7 +7,7 @@ deterministic equation stream, in exact integers: every unit relation
 c * N + k = 0 must force a nonnegative integer N, or the relation that
 forced it is reported as violated.  The system is heavily over-determined,
 and propagation alone has pinned every value of every degree measured
-(d <= 17); there is no elimination fallback, so keys it leaves open are
+(d <= 20); there is no elimination fallback, so keys it leaves open are
 reported as an underdetermined system.  Solved values are committed once
 and never change.
 
@@ -44,7 +44,6 @@ from .wdvv import (
     Tuple4,
     WdvvEquation,
     build_equation,
-    dual_pair,
     equation_families,
     solve_order,
     triple_info,
@@ -374,38 +373,30 @@ def _worker_init(tables):
     _WORKER_PSI = PsiCalculator(tables)
 
 
-def _worker_series(job):
-    degree, sigma1, sigma2 = job
-    return job, _WORKER_PSI.series(sigma1, sigma2, degree)
+def _worker_check(degree: int):
+    return degree, _check_degree_relations(degree, _WORKER_PSI)
 
 
-def _prefill_series(psi: PsiCalculator, degrees, workers: int) -> None:
-    """Compute the product series of ``degrees`` on a pool (pure, read-only).
+def _check_degrees(
+    tables: dict[int, dict[Tuple4, int]], degrees, workers: int
+) -> list[Violation]:
+    """The violations of ``degrees``, checked relation by relation, in
+    ascending degree order.
 
     The one pool rule of ``verify``: at most ``workers`` processes, one per
-    CPU and one per job, and no pool if that leaves one.  The jobs are the
-    dual-orbit representatives, whose mirrors the serial check derives on
-    first use; degree 1 has no splitting into two degrees, so no series.
+    CPU and one per degree, and no pool if that leaves one.  A job is one
+    degree, handed out largest first; the pool's report is the serial one.
     """
-    workers = min(workers, os.cpu_count() or 1)
+    workers = min(workers, os.cpu_count() or 1, len(degrees))
     if workers < 2:
-        return
-    jobs = sorted({
-        (degree, s1, s2)
-        for degree in degrees if degree >= 2
-        for fam in equation_families() if fam.target_weight(degree) >= 0
-        for _coeff, s1, s2 in fam.quantum if (s1, s2) <= dual_pair(s1, s2)
-    })
-    if len(jobs) < 2:
-        return
+        psi = PsiCalculator(tables)
+        return [v for d in degrees for v in _check_degree_relations(d, psi)]
     import multiprocessing as mp
-    ctx = mp.get_context()
-    with ctx.Pool(min(workers, len(jobs)), initializer=_worker_init,
-                  initargs=(psi.tables,)) as pool:
-        for (degree, s1, s2), series in pool.imap_unordered(
-            _worker_series, jobs, chunksize=4
-        ):
-            psi._series[(degree, s1, s2)] = series
+    with mp.get_context().Pool(workers, initializer=_worker_init,
+                               initargs=(tables,)) as pool:
+        found = dict(pool.imap_unordered(_worker_check,
+                                         sorted(degrees, reverse=True)))
+    return [v for d in sorted(found) for v in found[d]]
 
 
 def verify_store(
@@ -421,9 +412,9 @@ def verify_store(
     With ``exhaustive`` every degree is checked relation by relation.
     Otherwise only the degrees that ``_degrees_failing_at_a_point`` flags
     are, which gives the same report unless that check misses (see there).
-    ``workers`` > 1 spreads the series of the degrees checked relation by
-    relation over processes, under the rule of ``_prefill_series``;
-    results are identical to the serial run.
+    ``workers`` > 1 spreads the degrees checked relation by relation over
+    processes, under the rule of ``_check_degrees``; results are identical
+    to the serial run.
     """
     if store.max_degree < max_degree:
         raise MissingValueError(
@@ -438,13 +429,10 @@ def verify_store(
     tables = store.raw_tables()
     degrees = (range(1, max_degree + 1) if exhaustive
                else sorted(_degrees_failing_at_a_point(tables, max_degree)))
-    psi = PsiCalculator(tables)
-    _prefill_series(psi, degrees, workers)
-    violations = [v for d in degrees for v in _check_degree_relations(d, psi)]
     return WdvvReport(
         max_degree=max_degree,
         equations_checked=checked,
-        violations=tuple(violations),
+        violations=tuple(_check_degrees(tables, degrees, workers)),
     )
 
 

@@ -117,6 +117,17 @@ def test_malformed_rows_rejected(tmp_path, engine3):
         load_store(str(path), engine3.seed_set)
 
 
+def _rewritten(rows, field, form):
+    """``rows`` with one field of its first row of delta 0 and a value of
+    at least two digits rewritten as ``form(field text)``, which int()
+    still reads as the same number."""
+    i = next(i for i, r in enumerate(rows)
+             if r.split()[3] == "0" and len(r.split()[5]) > 1)
+    fields = rows[i].split()
+    fields[field] = form(fields[field])
+    return [*rows[:i], " ".join(fields), *rows[i + 1:]]
+
+
 @pytest.mark.parametrize("corrupt, message", [
     (lambda h, rows: "", "empty cache file"),
     (lambda h, rows: "not json\n" + "\n".join(rows) + "\n",
@@ -130,9 +141,30 @@ def test_malformed_rows_rejected(tmp_path, engine3):
     (lambda h, rows: _redigested(h, rows + ["1 0 0 0 0 1"]), "invalid row"),
     (lambda h, rows: _redigested(h, rows + rows[:1]), "duplicate row"),
     (lambda h, rows: _redigested(h, []), "cache has no rows"),
+    (lambda h, rows: _redigested(dict(h, max_degree=7), rows),
+     "header max_degree 7 does not match the rows' degrees 1..3"),
+    # int() reads each of these as the stored number, which the writer
+    # never writes in that form
+    (lambda h, rows: _redigested(h, _rewritten(rows, 5, lambda v: "+" + v)),
+     "malformed row"),
+    (lambda h, rows: _redigested(h, _rewritten(rows, 5, lambda v: "0" + v)),
+     "malformed row"),
+    (lambda h, rows: _redigested(h, _rewritten(rows, 0, lambda v: "0" + v)),
+     "malformed row"),
+    (lambda h, rows: _redigested(
+        h, _rewritten(rows, 5, lambda v: v[0] + "_" + v[1:])),
+     "malformed row"),
+    (lambda h, rows: _redigested(
+        h, _rewritten(rows, 5, lambda v: "".join(chr(0xFF10 + int(c))
+                                                 for c in v))),
+     "malformed row"),
+    (lambda h, rows: _redigested(h, _rewritten(rows, 3, lambda v: "-" + v)),
+     "malformed row"),
 ], ids=["empty", "header-not-json", "schema", "row-not-integers",
         "negative-value", "alpha-below-beta", "degree-0", "duplicate",
-        "no-rows"])
+        "no-rows", "header-max-degree", "value-plus-sign",
+        "value-leading-zero", "alpha-leading-zero", "value-underscore",
+        "value-fullwidth-digits", "delta-minus-zero"])
 def test_every_loader_rejection(tmp_path, engine3, capsys, corrupt, message):
     path = tmp_path / "store.gw24"
     header, rows = _saved(path, engine3)

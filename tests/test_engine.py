@@ -583,10 +583,20 @@ def inline_pool(monkeypatch):
 
 
 def test_workers_are_capped_at_the_cpu_count(engine4, inline_pool, monkeypatch):
+    # four degrees to check, so the cap of three CPUs is the binding one
     monkeypatch.setattr(os, "cpu_count", lambda: 3)
-    serial = verify_store(engine4.store, 3, workers=1)
-    assert verify_store(engine4.store, 3, workers=1_000_000) == serial
+    serial = verify_store(engine4.store, 4, workers=1)
+    assert verify_store(engine4.store, 4, workers=1_000_000) == serial
     assert inline_pool.sizes == [3]
+
+
+def test_pool_has_at_most_one_process_per_degree(engine4, inline_pool,
+                                                 monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    serial = verify_store(engine4.store, 3, workers=1)
+    assert verify_store(engine4.store, 3, workers=8) == serial
+    assert inline_pool.sizes == [3]
+    assert inline_pool.jobs == [3, 2, 1]
 
 
 @pytest.fixture
@@ -607,17 +617,16 @@ def test_one_cpu_starts_no_pool(engine4, no_pool, monkeypatch):
 
 @pytest.mark.parametrize("max_degree", [0, 1])
 def test_no_series_starts_no_pool(engine4, no_pool, monkeypatch, max_degree):
-    # degrees 0 and 1 have no product series to share out
+    # at most one degree to check, so at most one job
     serial = verify_store(engine4.store, max_degree, workers=1)
     monkeypatch.setattr(os, "cpu_count", lambda: 4)
     assert verify_store(engine4.store, max_degree, workers=4) == serial
 
 
-def test_default_check_pools_the_series_of_the_flagged_degrees(
-    engine4, inline_pool, monkeypatch
-):
+def test_default_check_pools_the_flagged_degrees(engine4, inline_pool,
+                                                 monkeypatch):
     # N(9,0,0,0;2) = 3 instead of 2: the point check flags degrees 2, 3
-    # and 4, and their relation-by-relation check uses the pool
+    # and 4, and the pool checks them relation by relation, largest first
     store = InvariantStore()
     for d in (1, 2, 3, 4):
         table = dict(engine4.store.canonical_table(d))
@@ -629,13 +638,7 @@ def test_default_check_pools_the_series_of_the_flagged_degrees(
     assert Counter(v.degree for v in serial.violations) == {2: 2, 3: 114, 4: 856}
     assert verify_store(store, 4, exhaustive=False, workers=2) == serial
     assert inline_pool.sizes == [2]
-    representatives = {
-        (degree, *min((s1, s2), dual_pair(s1, s2)))
-        for degree in (2, 3, 4)
-        for fam in equation_families() if fam.target_weight(degree) >= 0
-        for _coeff, s1, s2 in fam.quantum
-    }
-    assert sorted(inline_pool.jobs) == sorted(representatives)
+    assert inline_pool.jobs == [4, 3, 2]
     # a correct store flags no degree, so no pool starts
     assert verify_store(engine4.store, 4, exhaustive=False, workers=2).ok
     assert inline_pool.sizes == [2]
@@ -662,30 +665,20 @@ def test_point_check_draws_a_prime_on_every_run(engine4, monkeypatch):
     assert primes[0] != primes[1]
 
 
-def test_pool_convolves_exactly_the_series_the_check_reads(
-    engine4, inline_pool, monkeypatch
-):
-    # every series the serial check asks of the verifier's own calculator
-    # (the inline workers' calculator is _WORKER_PSI), and whether it was
-    # memoized when asked
-    asked = []
+def test_pool_jobs_are_the_degrees_checked(engine4, inline_pool, monkeypatch):
+    # every series convolved outside the workers' calculator (the inline
+    # workers' calculator is _WORKER_PSI)
+    outside = []
     series = PsiCalculator.series
 
     def recording_series(self, sigma1, sigma2, degree):
         if self is not engine_module._WORKER_PSI:
-            key = (degree, *sorted((sigma1, sigma2)))
-            asked.append((key, key in self._series))
+            outside.append((degree, sigma1, sigma2))
         return series(self, sigma1, sigma2, degree)
 
     serial = verify_store(engine4.store, 4, workers=1)
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     monkeypatch.setattr(PsiCalculator, "series", recording_series)
     assert verify_store(engine4.store, 4, workers=2) == serial
-    # a degree-1 series is empty: no curve splits into two of positive degree
-    representatives = {
-        (degree, *min((s1, s2), dual_pair(s1, s2)))
-        for (degree, s1, s2), _memoized in asked
-        if degree >= 2
-    }
-    assert sorted(inline_pool.jobs) == sorted(representatives)
-    assert all(memoized for key, memoized in asked if key in representatives)
+    assert inline_pool.jobs == [4, 3, 2, 1]
+    assert outside == []
