@@ -3,11 +3,14 @@
 Counts grow past 10^27 by degree 9, so the cache stores every value as a
 decimal string in plain text.  The header binds the file to the seed set
 and to a digest of its own rows; loading re-validates both and re-derives
-a random sample of rows from freshly assembled relations.
+a random sample of rows from freshly assembled relations.  A file loads
+only if it is the exact text the writer would write for its rows.
 
 Run:  python demos/persistence_and_verification.py
 """
 
+import hashlib
+import json
 import tempfile
 import time
 from pathlib import Path
@@ -44,3 +47,17 @@ try:
     load_store(str(tampered), engine.seed_set)
 except CacheError as exc:
     print(f"tampered copy rejected: {exc}")
+
+# Double one space and re-digest the rows: the table is unchanged, but the
+# file is not the text the writer writes, so it is rejected all the same.
+header, *rows = path.read_text().splitlines()
+rows[0] = rows[0].replace(" ", "  ", 1)
+fields = json.loads(header)
+fields["content_digest"] = hashlib.sha256("\n".join(rows).encode()).hexdigest()
+respaced = workdir / "respaced.gw24"
+respaced.write_text(json.dumps(fields, sort_keys=True) + "\n"
+                    + "\n".join(rows) + "\n")
+try:
+    load_store(str(respaced), engine.seed_set)
+except CacheError as exc:
+    print(f"re-digested copy with a doubled space rejected: {exc}")

@@ -10,9 +10,12 @@ Values are decimal strings so that counts of any magnitude round-trip
 losslessly.  The header binds the file to a seed set (a cache produced
 from different seeds is rejected, never silently reused) and carries a
 digest of the row block, so a tampered row is rejected deterministically.
-On load a seeded random sample of rows is additionally re-verified against
-freshly assembled relations, guarding against a well-formed file with
-wrong values.  Writes are atomic: temp file in the target directory, then
+``_render`` is the one definition of the file: a cache loads only if it is
+the text ``save_store`` would write for its rows, with any ``tool_version``
+string (reading in text mode turns CRLF line ends into LF).  On load a
+seeded random sample of rows is additionally re-verified against freshly
+assembled relations, guarding against a well-formed file with wrong
+values.  Writes are atomic: temp file in the target directory, then
 rename.
 """
 
@@ -22,8 +25,8 @@ import hashlib
 import json
 import os
 import random
-import re
 import tempfile
+from itertools import zip_longest
 
 from .engine import InvariantStore
 from .keys import SeedSet
@@ -33,11 +36,6 @@ SCHEMA_VERSION = 1
 _SAMPLE_ROWS_PER_DEGREE = 4
 _SAMPLE_EQUATIONS_PER_ROW = 2
 _SAMPLE_RNG_SEED = 0x67773234
-# Rows hold only what the writer writes: digits, ' ', '-' and line breaks
-# (int() also reads '+', '_', other digits and other spaces), and no
-# number with a leading zero or a minus sign on zero.
-_NOT_ROW_CHARS = str.maketrans("", "", "0123456789 -\n")
-_LEADING_ZERO = re.compile(" 0[0-9]")
 
 
 class CacheError(Exception):
@@ -48,21 +46,16 @@ def seed_digest(seed_set: SeedSet) -> str:
     return hashlib.sha256(seed_set.serialize().encode()).hexdigest()
 
 
-def _row_lines(store: InvariantStore) -> list[str]:
-    lines = []
-    for degree in store.degrees():
-        for (a, b, g, e), v in store.canonical_table(degree).items():
-            lines.append(f"{a} {b} {g} {e} {degree} {v}")
-    return lines
-
-
 def _content_digest(lines: list[str]) -> str:
     return hashlib.sha256("\n".join(lines).encode()).hexdigest()
 
 
-def save_store(store: InvariantStore, path: str, seed_set: SeedSet,
-               tool_version: str) -> None:
-    lines = _row_lines(store)
+def _render(store: InvariantStore, seed_set: SeedSet,
+            tool_version: str) -> str:
+    """The text of the cache file of ``store``."""
+    lines = [f"{a} {b} {g} {e} {degree} {v}"
+             for degree in store.degrees()
+             for (a, b, g, e), v in store.canonical_table(degree).items()]
     header = {
         "schema": SCHEMA_VERSION,
         "seed_digest": seed_digest(seed_set),
@@ -70,7 +63,12 @@ def save_store(store: InvariantStore, path: str, seed_set: SeedSet,
         "content_digest": _content_digest(lines),
         "max_degree": store.max_degree,
     }
-    payload = json.dumps(header, sort_keys=True) + "\n" + "\n".join(lines) + "\n"
+    return json.dumps(header, sort_keys=True) + "\n" + "\n".join(lines) + "\n"
+
+
+def save_store(store: InvariantStore, path: str, seed_set: SeedSet,
+               tool_version: str) -> None:
+    payload = _render(store, seed_set, tool_version)
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".gw24-cache-")
     try:
@@ -111,18 +109,10 @@ def load_store(path: str, seed_set: SeedSet) -> InvariantStore:
     if header.get("content_digest") != _content_digest(rows):
         raise CacheError("content digest mismatch: cache rows were modified")
 
-    if not _as_written("\n".join(rows)):
-        line = next(line for line in rows if not _as_written(line))
-        raise CacheError(f"malformed row: {line!r}")
-
     tables: dict[int, dict] = {}
     for line in rows:
-        fields = line.split()
-        if len(fields) != 6:
-            raise CacheError(f"malformed row: {line!r}")
         try:
-            a, b, g, e, degree = (int(x) for x in fields[:5])
-            value = int(fields[5])
+            a, b, g, e, degree, value = map(int, line.split())
         except ValueError as exc:
             raise CacheError(f"malformed row: {line!r}") from exc
         if min(a, b, g, e) < 0 or degree < 1 or value < 0 or a < b:
@@ -148,16 +138,24 @@ def load_store(path: str, seed_set: SeedSet) -> InvariantStore:
     except Exception as exc:
         raise CacheError(f"cache rows do not form a valid store: {exc}") from exc
 
+    version = header.get("tool_version")
+    if not isinstance(version, str):
+        raise CacheError(f"malformed header: tool_version {version!r} "
+                         "is not a string")
+    written = _render(store, seed_set, version)
+    if raw != written:
+        # The first differing row, before the header: a row that differs
+        # changes the header's digest too.
+        pairs = list(zip_longest(raw.splitlines(True),
+                                 written.splitlines(True), fillvalue=""))
+        i = next((i for i, (got, want) in enumerate(pairs)
+                  if i and got != want), 0)
+        got, want = pairs[i]
+        raise CacheError(f"malformed {'row' if i else 'header'}: {got!r} "
+                         f"where the writer writes {want!r}")
+
     _verify_sample(store)
     return store
-
-
-def _as_written(text: str) -> bool:
-    """Whether every integer in the rows ``text`` is in the form
-    ``str(int)`` gives; cheap enough for a whole d <= 9 row block."""
-    text = " " + text.replace("\n", " ")
-    return not (text.translate(_NOT_ROW_CHARS) or "-0" in text
-                or _LEADING_ZERO.search(text))
 
 
 def _verify_sample(store: InvariantStore) -> None:

@@ -107,9 +107,13 @@ class InvariantStore:
                 f"degrees commit in ascending order; got {degree} after "
                 f"{self.max_degree}"
             )
-        expected = set(canonical_tuples(degree))
-        if set(values) != expected:
-            raise EngineError(f"degree {degree}: incomplete value set")
+        expected, keys = set(canonical_tuples(degree)), set(values)
+        if keys != expected:
+            raise EngineError(
+                f"degree {degree}: wrong key set: first missing key "
+                f"{min(expected - keys, default=None)}, first unexpected key "
+                f"{min(keys - expected, default=None)}"
+            )
         for t, v in values.items():
             if not isinstance(v, int) or v < 0:
                 raise EngineError(

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 
 import pytest
 
@@ -128,6 +129,12 @@ def _rewritten(rows, field, form):
     return [*rows[:i], " ".join(fields), *rows[i + 1:]]
 
 
+def _spliced(text, sep):
+    """``text`` with its second line end replaced by ``sep``."""
+    head, row, rest = text.split("\n", 2)
+    return f"{head}\n{row}{sep}{rest}"
+
+
 @pytest.mark.parametrize("corrupt, message", [
     (lambda h, rows: "", "empty cache file"),
     (lambda h, rows: "not json\n" + "\n".join(rows) + "\n",
@@ -160,20 +167,81 @@ def _rewritten(rows, field, form):
      "malformed row"),
     (lambda h, rows: _redigested(h, _rewritten(rows, 3, lambda v: "-" + v)),
      "malformed row"),
+    # a loader that parses instead of comparing with the writer's text
+    # also reads each of these as the stored table
+    (lambda h, rows: _redigested(dict(h, schema=True), rows),
+     "malformed header"),
+    (lambda h, rows: _redigested(dict(h, schema=1.0), rows),
+     "malformed header"),
+    (lambda h, rows: _redigested(dict(h, max_degree=3.0), rows),
+     "malformed header"),
+    (lambda h, rows: _redigested(dict(h, note="x"), rows),
+     "malformed header"),
+    (lambda h, rows: _redigested(dict(h, tool_version=7), rows),
+     "malformed header: tool_version 7 is not a string"),
+    (lambda h, rows: json.dumps(h, sort_keys=True, separators=(",", ":"))
+     + "\n" + "\n".join(rows) + "\n", "malformed header"),
+    (lambda h, rows: _redigested(h, rows)[:-1], "malformed row"),
+    (lambda h, rows: _spliced(_redigested(h, rows), "\x1e"), "malformed row"),
+    (lambda h, rows: _spliced(_redigested(h, rows), "\u2028"),
+     "malformed row"),
+    (lambda h, rows: _spliced(_redigested(h, rows), "\x85"), "malformed row"),
+    (lambda h, rows: _spliced(_redigested(h, rows), "\x0c"), "malformed row"),
+    (lambda h, rows: _spliced(_redigested(h, rows), "\x0b"), "malformed row"),
+    (lambda h, rows: _spliced(_redigested(h, rows), "\n\n"), "malformed row"),
+    (lambda h, rows: _redigested(h, [rows[1], rows[0], *rows[2:]]),
+     "malformed row"),
+    (lambda h, rows: _redigested(h, [rows[0] + " ", *rows[1:]]),
+     "malformed row"),
+    (lambda h, rows: _redigested(h, [rows[0].replace(" ", "  ", 1),
+                                     *rows[1:]]), "malformed row"),
 ], ids=["empty", "header-not-json", "schema", "row-not-integers",
         "negative-value", "alpha-below-beta", "degree-0", "duplicate",
         "no-rows", "header-max-degree", "value-plus-sign",
         "value-leading-zero", "alpha-leading-zero", "value-underscore",
-        "value-fullwidth-digits", "delta-minus-zero"])
+        "value-fullwidth-digits", "delta-minus-zero",
+        "schema-true", "schema-float", "header-max-degree-float",
+        "header-extra-key", "tool-version-int", "header-respaced",
+        "no-final-newline", "separator-x1e", "separator-u2028",
+        "separator-x85", "separator-x0c", "separator-x0b", "blank-line",
+        "rows-reordered", "row-trailing-space", "row-doubled-space"])
 def test_every_loader_rejection(tmp_path, engine3, capsys, corrupt, message):
     path = tmp_path / "store.gw24"
     header, rows = _saved(path, engine3)
-    path.write_text(corrupt(header, rows))
+    path.write_text(corrupt(header, rows), encoding="utf-8")
     with pytest.raises(CacheError, match=message):
         load_store(str(path), engine3.seed_set)
     assert main(["cache", "import", "--cache-path", str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("inconsistency: ") and message in err
+    assert err.count("\n") == 1
+
+
+def test_crlf_copy_loads(tmp_path, engine3):
+    # text mode reads CRLF line ends as LF, so this is the writer's text
+    path = tmp_path / "store.gw24"
+    save_store(engine3.store, str(path), engine3.seed_set, __version__)
+    path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+    loaded = load_store(str(path), engine3.seed_set)
+    assert loaded.raw_tables() == engine3.store.raw_tables()
+
+
+@pytest.mark.parametrize("change, message", [
+    (lambda rows: [r for r in rows if r != "0 0 0 3 2 1"],
+     "first missing key (0, 0, 0, 3), first unexpected key None"),
+    (lambda rows: rows + ["6 0 0 0 2 1"],
+     "first missing key None, first unexpected key (6, 0, 0, 0)"),
+], ids=["missing-key", "unexpected-key"])
+def test_wrong_key_set_names_the_key(tmp_path, change, message):
+    eng = Engine()
+    eng.solve_up_to(4)
+    path = tmp_path / "store.gw24"
+    header, rows = _saved(path, eng)
+    path.write_text(_redigested(header, change(rows)))
+    with pytest.raises(CacheError, match=re.escape(
+            f"cache rows do not form a valid store: degree 2: wrong key set: "
+            f"{message}")):
+        load_store(str(path), eng.seed_set)
 
 
 def test_malformed_header_or_encoding_rejected(tmp_path, engine3):
