@@ -246,15 +246,17 @@ def solve_values(
 
     psi = PsiCalculator(tables)
     families = equation_families()
+    # The distinct key shifts of each family's cross terms.
+    shifts = [tuple(dict.fromkeys(shift for _c, _s, shift, _n1 in fam.cross))
+              for fam in families]
     for _cost, fam_idx, target in solve_order(degree):
         if len(assigned) == len(unknowns):
             break
         # Constants are the expensive part of assembly; skip relations
         # that cannot assign anything new.  Redundant relations are still
         # checked wholesale by the verifier.
-        fam = families[fam_idx]
         ta, tb, tg, td = target
-        for _c, _sigma, (sa, sb, sg, se), _n1 in fam.cross:
+        for sa, sb, sg, se in shifts[fam_idx]:
             a, b = ta + sa, tb + sb
             if a < b:
                 a, b = b, a
@@ -262,7 +264,7 @@ def solve_values(
                 break
         else:
             continue
-        eq = build_equation(fam, target, degree, psi)
+        eq = build_equation(families[fam_idx], target, degree, psi)
         terms: dict[Tuple4, int] = {}
         const = eq.constant
         for t, coeff in eq.terms:

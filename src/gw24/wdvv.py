@@ -256,18 +256,18 @@ class PsiCalculator:
     relation's cross part at its own degree.  Two evaluation modes for
     the products: ``at`` sums the splittings of a single target as dot
     products over windows of weight lines and Pascal rows (cheap for one
-    equation), ``series`` computes every target of a weight class at once
-    (cheap when a family needs them all), in the line form of
-    ``shifted_lines``.  It multiplies the ``packed_lines`` of the two
-    factors pairwise, one integer product per pair of lines, into one
-    packed accumulator per output line, and divides slot alpha of each by
-    comb(R, alpha); ``slot_width`` derives the slot width that keeps this
-    exact, which needs every value to be nonnegative.  A pair's series is
-    its dual pair's with every line reversed (alpha and beta swapped), so
-    each dual orbit is computed once.
-    Binomials come from the cached Pascal rows.  All are pure given the
-    tables and memoized, so instances may be shared by concurrent readers
-    once built.
+    equation), from a set-up that ``_pair_setup`` builds once per
+    (sigma1, sigma2, degree); ``series`` computes every target of a
+    weight class at once (cheap when a family needs them all), in the
+    line form of ``shifted_lines``.  It multiplies the ``packed_lines`` of
+    the two factors pairwise, one integer product per pair of lines, into
+    one packed accumulator per output line, and divides slot alpha of each
+    by comb(R, alpha); ``slot_width`` derives the slot width that keeps
+    this exact, which needs every value to be nonnegative.  A pair's series
+    is its dual pair's with every line reversed (alpha and beta swapped),
+    so each dual orbit is computed once.  Both kernels index one tuple of
+    Pascal rows, ``pascal_rows``.  All are pure given the tables and
+    memoized, so instances may be shared by concurrent readers once built.
     """
 
     def __init__(self, tables: dict[int, dict[Tuple4, int]]):
@@ -277,6 +277,8 @@ class PsiCalculator:
         self._lines: dict[int, dict[tuple[int, int], tuple[int, ...]]] = {}
         self._packed: dict[tuple[int, Triple, int], list] = {}
         self._widths: dict[int, int] = {}
+        self._setup: dict[tuple[Triple, Triple, int], tuple] = {}
+        self._rows: tuple[tuple[int, ...], ...] = ()
 
     def weight_lines(self, degree: int) -> dict[tuple[int, int], tuple[int, ...]]:
         """One degree's table as weight lines: (gamma, delta) -> the values
@@ -320,20 +322,50 @@ class PsiCalculator:
         self._shifted[memo_key] = shifted
         return shifted
 
+    def pascal_rows(self, n: int) -> tuple[tuple[int, ...], ...]:
+        """Rows 0..n-1 (at least) of Pascal's triangle, one tuple that
+        ``at`` and ``series`` index by n; it is replaced, never grown in
+        place, so a concurrent reader always holds a whole one."""
+        rows = self._rows
+        if len(rows) < n:
+            rows = self._rows = tuple(map(pascal_row, range(n)))
+        return rows
+
+    def _pair_setup(self, sigma1: Triple, sigma2: Triple, degree: int):
+        """What ``at`` needs of one (sigma1, sigma2, degree), whatever the
+        target: the shift fields it reads, w1 (the first factor's shift
+        weight), dpow[d1] = d1**n1 * (degree - d1)**n2, and the weight
+        lines of every lower degree, indexed by degree."""
+        (s1a, s1b, s1g, s1d), n1, _alive1 = triple_info(sigma1)
+        (_s2a, s2b, s2g, s2d), n2, _alive2 = triple_info(sigma2)
+        setup = (
+            s1a, s1g, s1d, s2b, s2g, s2d,
+            s1a + s1b + 2 * s1g + 3 * s1d,
+            [d1**n1 * (degree - d1) ** n2 for d1 in range(degree)],
+            [None] + [self.weight_lines(d) for d in range(1, degree)],
+        )
+        self._setup[(sigma1, sigma2, degree)] = setup
+        return setup
+
     def at(self, sigma1: Triple, sigma2: Triple, target: Tuple4, degree: int) -> int:
         """Coefficient of the target monomial in the product of the two
-        quantum third-partial series, at total curve degree ``degree``."""
+        quantum third-partial series, at total curve degree ``degree``.
+
+        Everything that depends on (sigma1, sigma2, degree) alone is set
+        up once per instance by ``_pair_setup``, and the target's four
+        binomial rows are read from ``pascal_rows``, so a call only walks
+        the target's splittings.  Results are not memoized: few targets
+        repeat."""
         if degree < 2:
             return 0
-        (s1a, s1b, s1g, s1d), n1, _alive1 = triple_info(sigma1)
-        (s2a, s2b, s2g, s2d), n2, _alive2 = triple_info(sigma2)
+        setup = self._setup.get((sigma1, sigma2, degree))
+        if setup is None:
+            setup = self._pair_setup(sigma1, sigma2, degree)
+        s1a, s1g, s1d, s2b, s2g, s2d, w1, dpow, lines = setup
         ta, tb, tg, td = target
-        row_a, row_b = pascal_row(ta), pascal_row(tb)
-        row_g, row_d = pascal_row(tg), pascal_row(td)
-        lines = [None] + [self.weight_lines(d) for d in range(1, degree)]
-        # d1**n1 * d2**n2, indexed by the first factor's degree d1.
-        dpow = [d1**n1 * (degree - d1) ** n2 for d1 in range(degree)]
-        w1 = s1a + s1b + 2 * s1g + 3 * s1d
+        # A target's entries are at most its weight, 4*degree + 1 or less.
+        rows = self.pascal_rows(4 * degree + 2)
+        row_a, row_b, row_g, row_d = rows[ta], rows[tb], rows[tg], rows[td]
         total = 0
         for d1v in range(td + 1):
             for g1 in range(tg + 1):
@@ -438,7 +470,7 @@ class PsiCalculator:
             self._series[memo_key] = out
             return out
         width = self.slot_width(degree)
-        rows = [pascal_row(n) for n in range(4 * degree + 3)]
+        rows = self.pascal_rows(4 * degree + 3)
         # One accumulator per output line (gamma, delta, R), whose slot
         # alpha sums to comb(R, alpha) * series(alpha, R - alpha, gamma, delta).
         acc: dict[tuple[int, int, int], int] = {}
@@ -502,17 +534,24 @@ def solve_order(degree: int) -> list[tuple[int, int, Tuple4]]:
     with few splittings (whose constants are cheap and whose unknowns are
     the concentrated ones) are consumed first.  Families with no
     unknown-bearing contraction are left to the verifier.
+
+    Each distinct target weight is ranked once, as its (cost, target)
+    pairs in sorted order; each family adds one such run under its own
+    index, so the runs are already sorted and the final sort only merges
+    them.
     """
+    ranked: dict[int, list[tuple[int, Tuple4]]] = {}
     items = []
     for idx, fam in enumerate(equation_families()):
         w = fam.target_weight(degree)
-        if w < 0:
+        if w < 0 or not fam.cross:
             continue
-        if not fam.cross:
-            continue
-        for t in tuples_of_weight(w):
-            cost = (t[0] + 1) * (t[1] + 1) * (t[2] + 1) * (t[3] + 1)
-            items.append((cost, idx, t))
+        run = ranked.get(w)
+        if run is None:
+            run = ranked[w] = sorted(
+                ((a + 1) * (b + 1) * (g + 1) * (e + 1), (a, b, g, e))
+                for a, b, g, e in tuples_of_weight(w)
+            )
+        items += [(cost, idx, t) for cost, t in run]
     items.sort()
     return items
-

@@ -274,7 +274,13 @@ def test_save_is_atomic_no_temp_left(engine3, tmp_path):
 
 
 def test_big_values_round_trip(tmp_path):
-    # decimal-string values round-trip at any magnitude; simulate with a
-    # fake large entry by checking int parsing is python-arbitrary
-    value = 6608238869716397977928547520
-    assert int(str(value)) == value
+    # the values pass 2**64 from degree 7 on; each comes back exactly
+    eng = Engine()
+    eng.solve_up_to(7)
+    assert max(eng.store.canonical_table(7).values()) > 2**64
+    path = tmp_path / "store.gw24"
+    save_store(eng.store, str(path), eng.seed_set, __version__)
+    loaded = load_store(str(path), eng.seed_set)
+    assert loaded.max_degree == 7
+    for d in range(1, 8):
+        assert loaded.canonical_table(d) == eng.store.canonical_table(d)

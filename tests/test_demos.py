@@ -12,13 +12,16 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)
-def test_demo_runs(demo):
+def test_demo_runs(demo, tmp_path):
+    # a fresh temp folder per demo, which it must leave empty
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, (str(ROOT / "src"), env.get("PYTHONPATH")))
     )
+    env["TMPDIR"] = str(tmp_path)
     proc = subprocess.run(
         [sys.executable, str(demo)], cwd=ROOT, env=env,
         capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
+    assert list(tmp_path.iterdir()) == []

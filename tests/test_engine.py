@@ -132,6 +132,26 @@ def test_determinism_two_runs():
         assert a.store.canonical_table(d) == b.store.canonical_table(d)
 
 
+def test_solve_through_degree9_does_fixed_work(monkeypatch):
+    # the solver's work is pinned, so a faster solve cannot hide doing
+    # less: relations assembled, product constants computed, values
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(engine_module, "build_equation",
+                        counted("build_equation", build_equation))
+    monkeypatch.setattr(PsiCalculator, "at", counted("at", PsiCalculator.at))
+    eng = Engine()
+    eng.solve_up_to(9)
+    assert calls == {"build_equation": 5906, "at": 42578}
+    assert sum(len(eng.store.canonical_table(d)) for d in range(1, 10)) == 2925
+
+
 def test_solve_requires_lower_degrees():
     eng = Engine()
     with pytest.raises(MissingValueError):

@@ -8,6 +8,8 @@ degrees.
 """
 
 import random
+import sys
+import threading
 from collections import Counter
 from itertools import product
 from math import comb
@@ -195,6 +197,19 @@ def test_generate_equations_counts_regression():
     assert len(solve_order(1)) <= count1
 
 
+@pytest.mark.parametrize("degree", range(1, 12))
+def test_solve_order_is_every_family_target_sorted(degree):
+    # by definition: one (cost, family index, target) per family with
+    # cross terms and per target of its weight class, fully sorted
+    expected = sorted(
+        ((a + 1) * (b + 1) * (g + 1) * (e + 1), idx, (a, b, g, e))
+        for idx, fam in enumerate(equation_families())
+        if fam.cross and fam.target_weight(degree) >= 0
+        for a, b, g, e in tuples_of_weight(fam.target_weight(degree))
+    )
+    assert solve_order(degree) == expected
+
+
 def test_generate_equations_satisfied_by_solution():
     eng = Engine()
     eng.solve_up_to(2)
@@ -377,6 +392,42 @@ def test_at_matches_naive_series(tables5, degree):
                 # every window of the kernel is a single element here
                 beta_zero_hits += 1
     assert beta_zero_hits
+
+
+def test_at_is_safe_to_share_between_threads(tables5):
+    # ``at`` fills its set-up and line memos lazily; threads racing on one
+    # fresh instance must get the serial answers
+    jobs = [
+        (sigma1, sigma2, target, degree)
+        for degree in (4, 5, 6)
+        for fam in equation_families()[::4] if fam.target_weight(degree) >= 0
+        for _c, sigma1, sigma2 in fam.quantum
+        for target in tuples_of_weight(fam.target_weight(degree))[::7]
+    ]
+    serial = PsiCalculator(tables5)
+    expected = [serial.at(*job) for job in jobs]
+    shared = PsiCalculator(tables5)
+    results, errors = {}, []
+
+    def run(k):
+        try:
+            results[k] = [shared.at(*job) for job in jobs]
+        except Exception as exc:  # reported below, not swallowed
+            errors.append(exc)
+
+    threads = [threading.Thread(target=run, args=(k,)) for k in range(6)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    assert results == {k: expected for k in range(6)}
 
 
 def test_shifted_lines_reindex_the_table(tables5):
