@@ -47,6 +47,7 @@ seeds = seed_invariants()  # raises if the cross-checks fail
 for key in sorted(seeds.entries):
     print(f"  N(alpha={key.alpha}, beta={key.beta}, gamma={key.gamma}, "
           f"delta={key.delta}; d=1) = {seeds.entries[key]}")
-print("\ncross-checks passed: the q-coefficients match the divisor rule and")
-print("two independent associativity routes to sigma_(2,1) * sigma_(2,1)")
-print("agree through the seed table")
+print("\ncross-checks passed: the q-coefficients fix the scale "
+      "N(0,0,1,1;1) = 1 by the")
+print("divisor rule, and every degree-1 associativity relation among the "
+      "seed keys holds")

@@ -44,6 +44,7 @@ from .wdvv import (
     Tuple4,
     WdvvEquation,
     build_equation,
+    degree_one_failures,
     equation_families,
     solve_order,
     triple_info,
@@ -191,7 +192,9 @@ def solve_values(
     Seeds and assembled relations alike go through ``settle``; one with
     several open keys waits on the watch list of each.  Every assigned key
     is drained before the next relation is read, and the drain that leaves
-    a relation one open key settles it, so none is open at return.
+    a relation one open key settles it, so none is open at return.  The
+    loop skips relations whose keys the seeds settled, so at degree 1 the
+    full table must then satisfy every relation (``degree_one_failures``).
     """
     unknowns = set(canonical_tuples(degree))
     assigned: dict[Tuple4, int] = {}
@@ -278,6 +281,10 @@ def solve_values(
     missing = unknowns - assigned.keys()
     if missing:
         raise UnderdeterminedSystemError(degree, missing)
+    if degree == 1:
+        for family, target, residual in degree_one_failures(assigned):
+            raise InconsistencyError(1, family.quadruple, target,
+                                     f"residual {residual}")
     return assigned
 
 

@@ -1,10 +1,11 @@
 """Independent small-scale Schubert calculus for G(2,4).
 
-This module exists to cross-check the cohomology tables and the degree-1
-seed invariants by a different route: partitions in the 2x2 box with Pieri
-rules, instead of the hard-wired tensor tables.  It is deliberately limited
-to G(2,4); generality is a non-goal.  Everything is a pure function over
-immutable tables.
+This module cross-checks the cohomology tables by a different route:
+partitions in the 2x2 box with Pieri rules, instead of the hard-wired
+tensor tables.  It holds the six degree-1 seeds, checked by the quantum
+Pieri q-terms (their scale) and the degree-1 associativity relations.  It
+is limited to G(2,4); generality is a non-goal.  Everything is a pure
+function over immutable tables.
 
 Partition dictionary (bijection with the basis classes):
 
@@ -20,6 +21,7 @@ from dataclasses import dataclass
 from .cohomology import (Basis, ClassCombination, cup, cup_combination,
                          pairing, triple)
 from .keys import InvariantKey, SeedSet
+from .wdvv import degree_one_failures
 
 Partition = tuple[int, ...]
 
@@ -176,65 +178,34 @@ _SEED_TABLE = {
 _SEED_NOTE = "docs/degree_one_counts.md (pencil incidence derivations)"
 
 
-def _seed_lookup(counts: tuple[int, int, int, int]) -> int:
-    a, b, g, d = counts
-    key = (a, b, g, d) if a >= b else (b, a, g, d)
-    return _SEED_TABLE[key]
-
-
 class SeedTableError(RuntimeError):
     """The seed table fails its cross-checks."""
 
 
 def _seed_cross_checks() -> None:
-    """Raise SeedTableError if the seeds contradict the quantum Pieri table.
+    """Raise SeedTableError if the seeds contradict associativity.
 
-    Two independent routes to sigma_(2,1) * sigma_(2,1) must agree.  Since
-    sigma_1 * sigma_(2) and sigma_1 * sigma_(1,1) have no quantum
-    correction, associativity gives
-
-        sigma_(2,1)^2 = sigma_(1,1) * (sigma_1 * sigma_(2,1))
-                      = sigma_(2)   * (sigma_1 * sigma_(2,1))
-                      = sigma_1 * (sigma_(2)   * sigma_(2,1))
-                      = sigma_1 * (sigma_(1,1) * sigma_(2,1)),
-
-    and each route expands through different seed entries.
+    The degree-1 relations are homogeneous (see ``degree_one_failures``):
+    among the seed keys alone they force N(2,0,0,1;1) = 0 and
+    N(1,0,2,0;1) = N(1,1,0,1;1) = N(0,0,1,1;1), but not the scale.  The
+    quantum Pieri q-terms fix it: the divisor rule ties both of them to the
+    pencil count I_1(T3, T4) = N(0,0,1,1;1), which must be 1.  Relations read the
+    alpha >= beta image of each key; ``SeedSet`` checks the other images.
     """
-    # Divisor rule ties the q-coefficients of the Pieri table to I_1(T3,T4).
+    pencil = _SEED_TABLE[(0, 0, 1, 1)]
     top = quantum_pieri((2, 1))
-    if top.q_part != ClassCombination.of(Basis.T0, _seed_lookup((0, 0, 1, 1))):
+    if top.q_part != ClassCombination.of(Basis.T0, pencil):
         raise SeedTableError("quantum Pieri q-term at (2,1) disagrees with seeds")
     point = quantum_pieri((2, 2))
-    if point.q_part != ClassCombination.of(Basis.T1, _seed_lookup((0, 0, 1, 1))):
+    if point.q_part != ClassCombination.of(Basis.T1, pencil):
         raise SeedTableError("quantum Pieri q-term at (2,2) disagrees with seeds")
-
-    # q-coefficients of sigma_x * sigma_(2,2) for x of codimension 2: the
-    # three-point count with insertions {x, T4, e} contracts against the
-    # pairing, and e runs over the codimension-2 classes (self-dual).
-    def times_point_class(x: tuple[int, int, int, int]) -> dict[Partition, int]:
-        xa, xb = x[0], x[1]
-        return {
-            (2,): _seed_lookup((xa + 1, xb, 0, 1)),
-            (1, 1): _seed_lookup((xa, xb + 1, 0, 1)),
-        }
-
-    # Route A: sigma_(1,1) * (sigma_(2,2) + q) ; Route A': with sigma_(2).
-    route_a = times_point_class((0, 1, 0, 0))
-    route_a[(1, 1)] = route_a.get((1, 1), 0) + 1
-    route_a2 = times_point_class((1, 0, 0, 0))
-    route_a2[(2,)] = route_a2.get((2,), 0) + 1
-
-    # Routes B, B': sigma_x * sigma_(2,1) = q * I_1(x, T3, T3) sigma_1 for x
-    # of codimension 2 (the contraction index must have codimension 3), and
-    # then sigma_1 * sigma_1 = sigma_(2) + sigma_(1,1) with no q-term.
-    for x in ((1, 0, 2, 0), (0, 1, 2, 0)):
-        n = _seed_lookup(x)
-        route_b = {(2,): n, (1, 1): n}
-        if route_b != route_a or route_b != route_a2:
-            raise SeedTableError(
-                "seed table fails the associativity cross-check: "
-                f"{route_a} / {route_a2} / {route_b}"
-            )
+    canonical = {t: v for t, v in _SEED_TABLE.items() if t[0] >= t[1]}
+    for family, target, residual in degree_one_failures(canonical):
+        raise SeedTableError(
+            "seed table fails the associativity cross-check: degree-1 "
+            f"relation at quadruple {family.quadruple}, monomial {target}, "
+            f"has residual {residual}"
+        )
 
 
 def seed_invariants() -> SeedSet:

@@ -498,13 +498,11 @@ class PsiCalculator:
         return out
 
 
-def build_equation(
-    family: EquationFamily,
-    target: Tuple4,
-    degree: int,
-    psi: PsiCalculator,
-) -> WdvvEquation:
-    """Assemble the relation of ``family`` at one target monomial."""
+def relation_terms(family: EquationFamily, target: Tuple4,
+                   degree: int) -> tuple[tuple[Tuple4, int], ...]:
+    """The cross terms of the relation of ``family`` at one target
+    monomial, folded onto canonical (alpha >= beta) keys: the nonzero
+    (key, coefficient) pairs, sorted by key."""
     terms: dict[Tuple4, int] = {}
     ta, tb, tg, td = target
     for coeff, _sigma, (sa, sb, sg, se), n1 in family.cross:
@@ -513,18 +511,41 @@ def build_equation(
             a, b = b, a
         t = (a, b, tg + sg, td + se)
         terms[t] = terms.get(t, 0) + coeff * degree**n1
+    return tuple(sorted((k, c) for k, c in terms.items() if c != 0))
+
+
+def build_equation(
+    family: EquationFamily,
+    target: Tuple4,
+    degree: int,
+    psi: PsiCalculator,
+) -> WdvvEquation:
+    """Assemble the relation of ``family`` at one target monomial."""
     constant = sum(
         coeff * psi.at(sigma1, sigma2, target, degree)
         for coeff, sigma1, sigma2 in family.quantum
     )
-    clean = tuple(sorted((k, c) for k, c in terms.items() if c != 0))
     return WdvvEquation(
         quadruple=family.quadruple,
         target=target,
         degree=degree,
-        terms=clean,
+        terms=relation_terms(family, target, degree),
         constant=constant,
     )
+
+
+def degree_one_failures(values: dict[Tuple4, int]):
+    """Yield (family, target, residual) for each degree-1 relation whose
+    keys all have a value in ``values`` (keyed canonically) and which those
+    values do not satisfy.  A product of quantum terms needs degree 2 or
+    more, so these relations have no constant."""
+    for family in equation_families():
+        for target in tuples_of_weight(family.target_weight(1)):
+            terms = relation_terms(family, target, 1)
+            if all(t in values for t, _c in terms):
+                residual = sum(c * values[t] for t, c in terms)
+                if residual:
+                    yield family, target, residual
 
 
 def solve_order(degree: int) -> list[tuple[int, int, Tuple4]]:

@@ -32,6 +32,7 @@ from gw24.wdvv import (
     PsiCalculator,
     WdvvEquation,
     build_equation,
+    degree_one_failures,
     dual_pair,
     equation_families,
     solve_order,
@@ -342,6 +343,36 @@ def test_negative_seed_fails_at_the_seed():
     assert str(info.value).endswith(
         "key (0, 0, 1, 1) forced to -1, not a nonnegative integer"
     )
+
+
+def test_wrong_hand_built_seed_fails_at_degree1():
+    # the seeds settle every key of the relations that would catch this,
+    # so only the check of the full degree-1 table does
+    entries = dict(seed_invariants().entries)
+    entries[InvariantKey(1, 0, 2, 0, 1)] = 2
+    entries[InvariantKey(0, 1, 2, 0, 1)] = 2
+    eng = Engine(seed_set=SeedSet(entries=entries, provenance_note="test"))
+    with pytest.raises(InconsistencyError) as info:
+        eng.invariant(1, 0, 2, 0, 1)
+    exc = info.value
+    assert exc.degree == 1
+    assert exc.quadruple in {f.quadruple for f in equation_families()}
+    assert str(exc).startswith(
+        f"degree 1: violated relation at quadruple {exc.quadruple}, "
+        f"monomial {exc.target}: residual "
+    )
+    assert eng.store.max_degree == 0
+
+
+def test_degree_one_failures_flag_every_unit_change(engine4):
+    table = engine4.store.canonical_table(1)
+    assert list(degree_one_failures(table)) == []
+    for key, value in table.items():
+        for delta in (1, -1):
+            if value + delta >= 0:
+                changed = dict(table)
+                changed[key] = value + delta
+                assert any(degree_one_failures(changed)), (key, delta)
 
 
 def test_verify_wdvv_degree_zero_is_empty(engine4):

@@ -1,11 +1,15 @@
+from itertools import product
+
 import pytest
 
+from gw24 import schubert
 from gw24.cohomology import Basis, ClassCombination, codim, triple
 from gw24.keys import InvariantKey
 from gw24.schubert import (
     CLASS_OF_PARTITION,
     PARTITION_OF_CLASS,
     PARTITIONS,
+    SeedTableError,
     classical_consistency_failures,
     classical_pieri,
     classical_triple_oracle,
@@ -114,6 +118,25 @@ def test_seed_invariants():
     canon = seeds.canonical_entries()
     assert len(canon) == 4
     assert seeds.provenance_note.startswith("docs/")
+
+
+def test_every_wrong_seed_table_is_rejected(monkeypatch):
+    # every table with values 0..3 at the four canonical seed keys, mirror
+    # images equal: the q-term scale and the degree-1 relations accept
+    # only the true one
+    images = [[(0, 0, 1, 1)], [(1, 1, 0, 1)], [(2, 0, 0, 1), (0, 2, 0, 1)],
+              [(1, 0, 2, 0), (0, 1, 2, 0)]]
+    accepted = []
+    for values in product(range(4), repeat=len(images)):
+        for keys, v in zip(images, values):
+            for key in keys:
+                monkeypatch.setitem(schubert._SEED_TABLE, key, v)
+        try:
+            seed_invariants()
+        except SeedTableError:
+            continue
+        accepted.append(values)
+    assert accepted == [(1, 1, 0, 1)]
 
 
 def test_seed_entries_all_dimension_valid():
