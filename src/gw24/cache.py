@@ -55,7 +55,8 @@ def _render(store: InvariantStore, seed_set: SeedSet,
     """The text of the cache file of ``store``."""
     lines = [f"{a} {b} {g} {e} {degree} {v}"
              for degree in store.degrees()
-             for (a, b, g, e), v in store.canonical_table(degree).items()]
+             for (a, b, g, e), v in store.raw_table(degree).items()
+             if a >= b]
     header = {
         "schema": SCHEMA_VERSION,
         "seed_digest": seed_digest(seed_set),
@@ -165,7 +166,7 @@ def _verify_sample(store: InvariantStore) -> None:
     families = equation_families()
     for degree in store.degrees():
         raw = store.raw_table(degree)
-        keys = list(store.canonical_table(degree))
+        keys = [t for t in raw if t[0] >= t[1]]
         for key in rng.sample(keys, min(_SAMPLE_ROWS_PER_DEGREE, len(keys))):
             checked = 0
             for fam in families:

@@ -108,8 +108,21 @@ class InvariantStore:
                 f"degrees commit in ascending order; got {degree} after "
                 f"{self.max_degree}"
             )
-        expected, keys = set(canonical_tuples(degree)), set(values)
-        if keys != expected:
+        # Distinct keys, each canonical and of the degree's weight, as many
+        # as the canonical keys: then they are exactly those keys.
+        weight = 4 * degree + 1
+        count = sum((weight - 3 * e - 2 * g) // 2 + 1
+                    for e in range(weight // 3 + 1)
+                    for g in range((weight - 3 * e) // 2 + 1))
+        try:
+            ok = len(values) == count and all(
+                a >= b >= 0 and g >= 0 and e >= 0
+                and a + b + 2 * g + 3 * e == weight
+                for a, b, g, e in values)
+        except (TypeError, ValueError):  # a key that is not four numbers
+            ok = False
+        if not ok:
+            expected, keys = set(canonical_tuples(degree)), set(values)
             raise EngineError(
                 f"degree {degree}: wrong key set: first missing key "
                 f"{min(expected - keys, default=None)}, first unexpected key "

@@ -26,7 +26,10 @@ Structure exploited throughout this module:
   other classes, so N(a,b,g,e;d) = N(b,a,g,e;d) and a product series
   over the triples (sigma1, sigma2) is the series over their duals with
   every weight line (below) reversed: only one pair of each dual orbit
-  is ever convolved;
+  is ever convolved.  It maps each family's relations to those of its
+  dual family (``EquationFamily.dual``) at the mirrored target
+  (b, a, g, e), up to the sign ``dual_sign``, so a relation's constant is
+  computed once per dual pair of relations;
 * the weight condition ties alpha to beta once (gamma, delta) and the
   degree are fixed, so a degree's table splits into weight lines indexed
   by alpha, and the splittings of one target that share (gamma, delta) in
@@ -93,7 +96,8 @@ def triple_info(sigma: Triple):
 
 
 def dual_pair(sigma1: Triple, sigma2: Triple) -> tuple[Triple, Triple]:
-    """The sorted pair of the dual triples of ``sigma1`` and ``sigma2``."""
+    """The sorted pair of the dual triples of ``sigma1`` and ``sigma2``;
+    of a pairing's two index pairs, the dual pairing."""
     dual1 = tuple(sorted(DUAL[i] for i in sigma1))
     dual2 = tuple(sorted(DUAL[i] for i in sigma2))
     return (dual1, dual2) if dual1 <= dual2 else (dual2, dual1)
@@ -128,6 +132,12 @@ class EquationFamily:
       The product is symmetric, so the terms of both pairings over the same
       pair of triples are merged into one: ``coeff`` is the sum of their
       signs, +-1 or +-2, and pairs whose signs cancel are dropped.
+
+    ``index`` is the family's place in ``equation_families()``, and
+    ``dual`` the place of its image under the Ta <-> Tb duality, whose
+    pairings are this family's with Ta and Tb swapped: in the same roles
+    when ``dual_sign`` is 1, exchanged when it is -1.  The relation at
+    (a, b, g, e) is then ``dual_sign`` times the dual's at (b, a, g, e).
     """
 
     classes: Tuple4
@@ -137,6 +147,9 @@ class EquationFamily:
     codim_total: int
     cross: tuple[tuple[int, Triple, Tuple4, int], ...]
     quantum: tuple[tuple[int, Triple, Triple], ...]
+    index: int
+    dual: int
+    dual_sign: int
 
     def target_weight(self, degree: int) -> int:
         return 4 * degree + 4 - self.codim_total
@@ -202,23 +215,34 @@ def equation_families() -> tuple[EquationFamily, ...]:
     class multiset.  Multisets of shape xxxx or xxxy admit a single pairing
     and contribute nothing.
     """
+    relations = [
+        (ms, pos, neg)
+        for ms in combinations_with_replacement(QUANTUM_CLASSES, 4)
+        for pos, neg in combinations(_pairings_of(ms), 2)
+    ]
+    # (index, sign) of each family by its pairings, in either role
+    place = {}
+    for idx, (_ms, pos, neg) in enumerate(relations):
+        place[pos, neg], place[neg, pos] = (idx, 1), (idx, -1)
     fams = []
-    for ms in combinations_with_replacement(QUANTUM_CLASSES, 4):
-        pairings = _pairings_of(ms)
-        for pos, neg in combinations(pairings, 2):
-            cross_pos, quantum_pos = _pairing_structure(pos, 1)
-            cross_neg, quantum_neg = _pairing_structure(neg, -1)
-            fams.append(
-                EquationFamily(
-                    classes=ms,
-                    positive=pos,
-                    negative=neg,
-                    quadruple=_resolve_quadruple(pos, neg),
-                    codim_total=sum(CODIM[c] for c in ms),
-                    cross=tuple(cross_pos + cross_neg),
-                    quantum=_merge_quantum(quantum_pos + quantum_neg),
-                )
+    for idx, (ms, pos, neg) in enumerate(relations):
+        dual, dual_sign = place[dual_pair(*pos), dual_pair(*neg)]
+        cross_pos, quantum_pos = _pairing_structure(pos, 1)
+        cross_neg, quantum_neg = _pairing_structure(neg, -1)
+        fams.append(
+            EquationFamily(
+                classes=ms,
+                positive=pos,
+                negative=neg,
+                quadruple=_resolve_quadruple(pos, neg),
+                codim_total=sum(CODIM[c] for c in ms),
+                cross=tuple(cross_pos + cross_neg),
+                quantum=_merge_quantum(quantum_pos + quantum_neg),
+                index=idx,
+                dual=dual,
+                dual_sign=dual_sign,
             )
+        )
     return tuple(fams)
 
 
@@ -266,8 +290,11 @@ class PsiCalculator:
     this exact, which needs every value to be nonnegative.  A pair's series
     is its dual pair's with every line reversed (alpha and beta swapped),
     so each dual orbit is computed once.  Both kernels index one tuple of
-    Pascal rows, ``pascal_rows``.  All are pure given the tables and
-    memoized, so instances may be shared by concurrent readers once built.
+    Pascal rows, ``pascal_rows``.  ``constant`` sums a relation's products
+    with ``at`` and memoizes the sum per (family, target, degree), so the
+    dual relation reads it instead of summing its own.  All are pure given
+    the tables and memoized, so instances may be shared by concurrent
+    readers once built.
     """
 
     def __init__(self, tables: dict[int, dict[Tuple4, int]]):
@@ -279,6 +306,7 @@ class PsiCalculator:
         self._widths: dict[int, int] = {}
         self._setup: dict[tuple[Triple, Triple, int], tuple] = {}
         self._rows: tuple[tuple[int, ...], ...] = ()
+        self._constants: dict[tuple[int, Tuple4, int], int] = {}
 
     def weight_lines(self, degree: int) -> dict[tuple[int, int], tuple[int, ...]]:
         """One degree's table as weight lines: (gamma, delta) -> the values
@@ -409,6 +437,26 @@ class PsiCalculator:
                         total += wgd * dpow[d1] * s
         return total
 
+    def constant(self, family: EquationFamily, target: Tuple4,
+                 degree: int) -> int:
+        """The constant of the relation of ``family`` at one target: the
+        sum of its quantum products there, each from ``at``.
+
+        It is ``family.dual_sign`` times the constant of the dual family at
+        the mirrored target, so that one is returned when it is memoized;
+        otherwise the sum is computed and memoized.  Callers assemble each
+        relation once, so only the dual's entry is looked up."""
+        a, b, g, e = target
+        known = self._constants.get((family.dual, (b, a, g, e), degree))
+        if known is not None:
+            return family.dual_sign * known
+        total = sum(
+            coeff * self.at(sigma1, sigma2, target, degree)
+            for coeff, sigma1, sigma2 in family.quantum
+        )
+        self._constants[family.index, target, degree] = total
+        return total
+
     def slot_width(self, degree: int) -> int:
         """Bits per slot of the packed lines that ``series`` multiplies at
         total degree ``degree``: S = bits(W comb(4 degree + 2, 2 degree + 1))
@@ -520,17 +568,15 @@ def build_equation(
     degree: int,
     psi: PsiCalculator,
 ) -> WdvvEquation:
-    """Assemble the relation of ``family`` at one target monomial."""
-    constant = sum(
-        coeff * psi.at(sigma1, sigma2, target, degree)
-        for coeff, sigma1, sigma2 in family.quantum
-    )
+    """Assemble the relation of ``family`` at one target monomial; its
+    constant comes from ``psi.constant``, which computes it once per dual
+    pair of relations."""
     return WdvvEquation(
         quadruple=family.quadruple,
         target=target,
         degree=degree,
         terms=relation_terms(family, target, degree),
-        constant=constant,
+        constant=psi.constant(family, target, degree),
     )
 
 

@@ -7,6 +7,7 @@ pins degree 10, beyond the golden range.
 """
 
 import hashlib
+import json
 import random
 import time
 
@@ -141,6 +142,12 @@ def test_criterion_8_determinism_and_persistence(solved, tmp_path):
     save_store(engine.store, str(first_path), engine.seed_set, __version__)
     save_store(second.store, str(second_path), second.seed_set, __version__)
     assert first_path.read_bytes() == second_path.read_bytes()
+    # the rows themselves are pinned: a changed value or row format moves
+    # the header's row digest
+    header = json.loads(first_path.read_text().split("\n", 1)[0])
+    assert header["content_digest"] == (
+        "c083bdc668af80ae382be7a94195526af1d43331af20274f71857ea66471101a"
+    )
 
     loaded = load_store(str(first_path), engine.seed_set)  # sample-verified
     for d in range(1, 10):

@@ -135,7 +135,8 @@ def test_determinism_two_runs():
 
 def test_solve_through_degree9_does_fixed_work(monkeypatch):
     # the solver's work is pinned, so a faster solve cannot hide doing
-    # less: relations assembled, product constants computed, values
+    # less: relations assembled, product constants computed (each relation
+    # constant once per dual pair of relations), values
     calls = Counter()
 
     def counted(name, fn):
@@ -149,7 +150,7 @@ def test_solve_through_degree9_does_fixed_work(monkeypatch):
     monkeypatch.setattr(PsiCalculator, "at", counted("at", PsiCalculator.at))
     eng = Engine()
     eng.solve_up_to(9)
-    assert calls == {"build_equation": 5906, "at": 42578}
+    assert calls == {"build_equation": 5906, "at": 29999}
     assert sum(len(eng.store.canonical_table(d)) for d in range(1, 10)) == 2925
 
 
@@ -209,6 +210,30 @@ def test_store_rejects_negative_or_fractional():
     bad[(5, 0, 0, 0)] = -1
     with pytest.raises(EngineError):
         store.commit_degree(1, bad)
+
+
+@pytest.mark.parametrize("swap, missing, unexpected", [
+    # a mirror image in place of its canonical key
+    ({(4, 1, 0, 0): (1, 4, 0, 0)}, (4, 1, 0, 0), (1, 4, 0, 0)),
+    # a key of the wrong weight, and one key too few
+    ({(5, 0, 0, 0): (6, 0, 0, 0)}, (5, 0, 0, 0), (6, 0, 0, 0)),
+    ({(5, 0, 0, 0): None}, (5, 0, 0, 0), None),
+    # not four entries
+    ({(5, 0, 0, 0): (5, 0, 0, 0, 1)}, (5, 0, 0, 0), (5, 0, 0, 0, 1)),
+])
+def test_store_names_the_wrong_keys(swap, missing, unexpected):
+    from gw24.engine import EngineError
+
+    values = {}
+    for t in canonical_tuples(1):
+        t = swap.get(t, t)
+        if t is not None:
+            values[t] = 0
+    with pytest.raises(EngineError) as err:
+        InvariantStore().commit_degree(1, values)
+    assert str(err.value) == (
+        f"degree 1: wrong key set: first missing key {missing}, "
+        f"first unexpected key {unexpected}")
 
 
 def test_seed_redundancy_each_seed_removable():

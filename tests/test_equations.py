@@ -394,6 +394,32 @@ def test_at_matches_naive_series(tables5, degree):
     assert beta_zero_hits
 
 
+def race(work, count=6):
+    """Run ``work()`` in ``count`` threads at once, switching as often as
+    the interpreter allows; return the results of the threads, in order."""
+    results, errors = {}, []
+
+    def run(k):
+        try:
+            results[k] = work()
+        except Exception as exc:  # reported below, not swallowed
+            errors.append(exc)
+
+    threads = [threading.Thread(target=run, args=(k,)) for k in range(count)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    return [results[k] for k in range(count)]
+
+
 def test_at_is_safe_to_share_between_threads(tables5):
     # ``at`` fills its set-up and line memos lazily; threads racing on one
     # fresh instance must get the serial answers
@@ -407,27 +433,72 @@ def test_at_is_safe_to_share_between_threads(tables5):
     serial = PsiCalculator(tables5)
     expected = [serial.at(*job) for job in jobs]
     shared = PsiCalculator(tables5)
-    results, errors = {}, []
+    assert race(lambda: [shared.at(*job) for job in jobs]) == [expected] * 6
 
-    def run(k):
-        try:
-            results[k] = [shared.at(*job) for job in jobs]
-        except Exception as exc:  # reported below, not swallowed
-            errors.append(exc)
 
-    threads = [threading.Thread(target=run, args=(k,)) for k in range(6)]
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(t.is_alive() for t in threads)
-    assert errors == []
-    assert results == {k: expected for k in range(6)}
+def test_build_equation_is_safe_to_share_between_threads(tables5):
+    # ``constant`` fills its memo lazily and serves a relation from its
+    # dual's entry; threads racing on one fresh instance, over a job list
+    # closed under the duality, must get the serial relations
+    jobs = [
+        (fam, target, degree)
+        for degree in (4, 5, 6)
+        for fam in equation_families()
+        for target in tuples_of_weight(fam.target_weight(degree))
+        if target[2:] == (1, 0)
+    ]
+    serial = PsiCalculator(tables5)
+    expected = [build_equation(*job, serial) for job in jobs]
+    shared = PsiCalculator(tables5)
+    assert race(lambda: [build_equation(*job, shared) for job in jobs]
+                ) == [expected] * 6
+
+
+def test_dual_families_are_an_involution():
+    # the dual family's pairings are this family's with Ta <-> Tb applied,
+    # in the same roles or exchanged as ``dual_sign`` says, so its merged
+    # quantum terms are the dual pairs with their coefficients signed
+    def image(pairing):
+        return tuple(sorted(tuple(sorted(DUAL[i] for i in pair))
+                            for pair in pairing))
+
+    fams = equation_families()
+    assert [fam.index for fam in fams] == list(range(len(fams)))
+    for fam in fams:
+        dual = fams[fam.dual]
+        assert (dual.dual, dual.dual_sign) == (fam.index, fam.dual_sign)
+        assert dual.classes == tuple(sorted(DUAL[c] for c in fam.classes))
+        roles = (image(fam.positive), image(fam.negative))
+        assert (dual.positive, dual.negative) == (
+            roles if fam.dual_sign == 1 else roles[::-1])
+        assert {(s1, s2): c for c, s1, s2 in dual.quantum} == {
+            dual_pair(s1, s2): fam.dual_sign * c for c, s1, s2 in fam.quantum}
+    assert sum(fam.dual == fam.index for fam in fams) == 13
+
+
+@pytest.mark.parametrize("degree", [2, 3, 4, 5, 6])
+def test_constants_are_computed_once_per_dual_pair(tables5, degree):
+    # the memoized constant of every relation is the direct sum of its
+    # products on a fresh instance, and sign times its dual relation's at
+    # the mirrored target; the memo computes one relation per dual pair
+    fams = equation_families()
+    direct = PsiCalculator(tables5)
+    expected = {
+        (fam.index, target): sum(c * direct.at(s1, s2, target, degree)
+                                 for c, s1, s2 in fam.quantum)
+        for fam in fams
+        for target in tuples_of_weight(fam.target_weight(degree))
+    }
+    orbits = set()
+    for (idx, (a, b, g, e)), value in expected.items():
+        fam = fams[idx]
+        mirror = (fam.dual, (b, a, g, e))
+        assert value == fam.dual_sign * expected[mirror], (fam.label(), a, b)
+        orbits.add(min((idx, (a, b, g, e)), mirror))
+    memo = PsiCalculator(tables5)
+    for (idx, target), value in expected.items():
+        assert memo.constant(fams[idx], target, degree) == value
+    assert len(memo._constants) == len(orbits)
 
 
 def test_shifted_lines_reindex_the_table(tables5):
