@@ -163,11 +163,12 @@ def cmd_invariant(args) -> int:
     else:
         print(value)
         if not valid:
-            print(
-                "note: dimension-invalid key "
-                "(alpha+beta+2*gamma+3*delta != 4*degree+1); value is 0 "
-                "by convention", file=sys.stderr,
-            )
+            # the reasons of keys.dimension_valid, the degree checked first
+            reason = ("degree < 1: degree-0 counts are classical, not in the "
+                      "table" if key.degree < 1
+                      else "alpha+beta+2*gamma+3*delta != 4*degree+1")
+            print(f"note: dimension-invalid key ({reason}); value is 0 by "
+                  "convention", file=sys.stderr)
     return EXIT_OK
 
 

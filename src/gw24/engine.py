@@ -46,7 +46,6 @@ from .wdvv import (
     build_equation,
     degree_one_failures,
     equation_families,
-    solve_order,
     triple_info,
 )
 
@@ -191,6 +190,42 @@ class RuledSurfaceDegree(NamedTuple):
     caveat: bool
 
 
+def solve_order(degree: int) -> list[tuple[int, int, list[Tuple4]]]:
+    """Deterministic assembly order for the solver: cheapest targets first.
+
+    Returns (cost, family index, targets) groups in (cost, index) order,
+    where the cost (a + 1)(b + 1)(g + 1)(e + 1) of a target counts its
+    splittings and ``targets`` lists, sorted, the targets of that cost in
+    the family's weight class.  Flattened, the groups are every
+    (cost, index, target) sorted, so monomials with few splittings (whose
+    constants are cheap and whose unknowns are the concentrated ones) are
+    consumed first.  Families with no unknown-bearing contraction are left
+    to the verifier.
+
+    Each distinct target weight is split into its cost groups once, and
+    every family of that weight shares the group lists.
+    """
+    by_weight: dict[int, list[tuple[int, list[Tuple4]]]] = {}
+    groups = []
+    for fam in equation_families():
+        w = fam.target_weight(degree)
+        if w < 0 or not fam.cross:
+            continue
+        runs = by_weight.get(w)
+        if runs is None:
+            by_cost: dict[int, list[Tuple4]] = {}
+            # tuples_of_weight is sorted, so each cost's list is too
+            for t in tuples_of_weight(w):
+                a, b, g, e = t
+                by_cost.setdefault((a + 1) * (b + 1) * (g + 1) * (e + 1),
+                                   []).append(t)
+            runs = by_weight[w] = sorted(by_cost.items())
+        groups += [(cost, fam.index, targets) for cost, targets in runs]
+    # (cost, index) pairs are distinct, so the target lists never compare
+    groups.sort()
+    return groups
+
+
 def solve_values(
     tables: dict[int, dict[Tuple4, int]],
     degree: int,
@@ -211,6 +246,8 @@ def solve_values(
     """
     unknowns = set(canonical_tuples(degree))
     assigned: dict[Tuple4, int] = {}
+    # The assigned keys in both alpha <-> beta orientations.
+    known: set[Tuple4] = set()
     queue: deque[Tuple4] = deque()
     # watch[t]: the parked relations [open terms, constant, (quadruple,
     # target)] that hold the open key t, in parking order.
@@ -233,6 +270,8 @@ def solve_values(
                 )
             if t not in assigned:
                 assigned[t] = value
+                known.add(t)
+                known.add((t[1], t[0], t[2], t[3]))
                 queue.append(t)
             elif assigned[t] != value:
                 raise InconsistencyError(
@@ -265,31 +304,32 @@ def solve_values(
     # The distinct key shifts of each family's cross terms.
     shifts = [tuple(dict.fromkeys(shift for _c, _s, shift, _n1 in fam.cross))
               for fam in families]
-    for _cost, fam_idx, target in solve_order(degree):
+    for _cost, fam_idx, targets in solve_order(degree):
         if len(assigned) == len(unknowns):
             break
-        # Constants are the expensive part of assembly; skip relations
-        # that cannot assign anything new.  Redundant relations are still
-        # checked wholesale by the verifier.
-        ta, tb, tg, td = target
-        for sa, sb, sg, se in shifts[fam_idx]:
-            a, b = ta + sa, tb + sb
-            if a < b:
-                a, b = b, a
-            if (a, b, tg + sg, td + se) not in assigned:
-                break
-        else:
-            continue
-        eq = build_equation(families[fam_idx], target, degree, psi)
-        terms: dict[Tuple4, int] = {}
-        const = eq.constant
-        for t, coeff in eq.terms:
-            if t in assigned:
-                const += coeff * assigned[t]
+        family, fam_shifts = families[fam_idx], shifts[fam_idx]
+        for target in targets:
+            # Constants are the expensive part of assembly; skip relations
+            # that cannot assign anything new.  Redundant relations are
+            # still checked wholesale by the verifier.
+            ta, tb, tg, td = target
+            for sa, sb, sg, se in fam_shifts:
+                if (ta + sa, tb + sb, tg + sg, td + se) not in known:
+                    break
             else:
-                terms[t] = coeff
-        settle(terms, const, (eq.quadruple, target))
-        drain()
+                continue
+            eq = build_equation(family, target, degree, psi)
+            terms: dict[Tuple4, int] = {}
+            const = eq.constant
+            for t, coeff in eq.terms:
+                if t in assigned:
+                    const += coeff * assigned[t]
+                else:
+                    terms[t] = coeff
+            settle(terms, const, (eq.quadruple, target))
+            drain()
+            if len(assigned) == len(unknowns):
+                break
 
     missing = unknowns - assigned.keys()
     if missing:

@@ -281,7 +281,8 @@ class PsiCalculator:
     the products: ``at`` sums the splittings of a single target as dot
     products over windows of weight lines and Pascal rows (cheap for one
     equation), from a set-up that ``_pair_setup`` builds once per
-    (sigma1, sigma2, degree); ``series`` computes every target of a
+    (sigma1, sigma2, degree) and the binomial windows of the last target's
+    (ta, tb), kept in a one-entry slot; ``series`` computes every target of a
     weight class at once (cheap when a family needs them all), in the
     line form of ``shifted_lines``.  It multiplies the ``packed_lines`` of
     the two factors pairwise, one integer product per pair of lines, into
@@ -306,6 +307,9 @@ class PsiCalculator:
         self._widths: dict[int, int] = {}
         self._setup: dict[tuple[Triple, Triple, int], tuple] = {}
         self._rows: tuple[tuple[int, ...], ...] = ()
+        # ((ta, tb), its binomial windows) of the last target of ``at``;
+        # ``constant`` calls it for all the products of one target in a row
+        self._windows: tuple = (None, None)
         self._constants: dict[tuple[int, Tuple4, int], int] = {}
 
     def weight_lines(self, degree: int) -> dict[tuple[int, int], tuple[int, ...]]:
@@ -375,15 +379,36 @@ class PsiCalculator:
         self._setup[(sigma1, sigma2, degree)] = setup
         return setup
 
+    @staticmethod
+    def _binomial_windows(row_a, row_b):
+        """The binomials of ``at``'s windows for a target (ta, tb), from
+        its Pascal rows: indexed by r1 = a1 + b1, (lo, hi, w), where a1 runs
+        over [lo, hi] (a1 <= ta and b1 <= tb) and w lists comb(ta, a1)
+        comb(tb, b1), or is that one number when lo == hi.  (A list: a
+        tuple built from an iterator is resized off its size's free list,
+        so replaced slots would pile up free tuples.)"""
+        ta, tb = len(row_a) - 1, len(row_b) - 1
+        windows = []
+        for r1 in range(ta + tb + 1):
+            lo = r1 - tb if r1 > tb else 0
+            hi = r1 if r1 < ta else ta
+            # comb(tb, b1) = row_b[tb - b1], which rises with a1
+            off = tb - r1
+            w = list(map(mul, row_a[lo:hi + 1], row_b[lo + off:hi + off + 1]))
+            windows.append((lo, hi, w[0] if lo == hi else w))
+        return windows
+
     def at(self, sigma1: Triple, sigma2: Triple, target: Tuple4, degree: int) -> int:
         """Coefficient of the target monomial in the product of the two
         quantum third-partial series, at total curve degree ``degree``.
 
         Everything that depends on (sigma1, sigma2, degree) alone is set
-        up once per instance by ``_pair_setup``, and the target's four
-        binomial rows are read from ``pascal_rows``, so a call only walks
-        the target's splittings.  Results are not memoized: few targets
-        repeat."""
+        up once per instance by ``_pair_setup``, the products of the
+        target's binomial rows in alpha and beta are built once per
+        (ta, tb) by ``_binomial_windows`` and kept for the next call, and
+        its rows in gamma and delta are read from ``pascal_rows``, so a
+        call only walks the target's splittings.  Results are not
+        memoized: few targets repeat."""
         if degree < 2:
             return 0
         setup = self._setup.get((sigma1, sigma2, degree))
@@ -393,7 +418,13 @@ class PsiCalculator:
         ta, tb, tg, td = target
         # A target's entries are at most its weight, 4*degree + 1 or less.
         rows = self.pascal_rows(4 * degree + 2)
-        row_a, row_b, row_g, row_d = rows[ta], rows[tb], rows[tg], rows[td]
+        row_g, row_d = rows[tg], rows[td]
+        # Replaced whole, so a concurrent reader holds a matching pair.
+        slot = self._windows
+        if slot[0] != (ta, tb):
+            slot = self._windows = (
+                (ta, tb), self._binomial_windows(rows[ta], rows[tb]))
+        windows = slot[1]
         total = 0
         for d1v in range(td + 1):
             for g1 in range(tg + 1):
@@ -414,25 +445,17 @@ class PsiCalculator:
                     r1 = 4 * d1 - base
                     line1 = lines[d1][line1_key]
                     line2 = lines[degree - d1][line2_key]
-                    # a1 runs over the window [lo, hi] where a1 <= ta and
-                    # b1 = r1 - a1 lies in [0, tb].  The second factor's
-                    # b2 = tb - b1 = a1 + off rises with a1, comb(tb, b1) =
-                    # row_b[b2], and line2 is read at beta = b2 + s2b, so the
-                    # four factors are contiguous slices.
-                    lo = r1 - tb if r1 > tb else 0
-                    hi = r1 if r1 < ta else ta
-                    off = tb - r1
+                    # a1 runs over the window [lo, hi] of r1; the second
+                    # factor's b2 = tb - r1 + a1 rises with a1, and line2 is
+                    # read at beta = b2 + s2b, so both lines are slices.
+                    lo, hi, binomials = windows[r1]
+                    b2 = lo + tb - r1 + s2b
                     if lo == hi:
-                        s = (row_a[lo] * row_b[lo + off]
-                             * line1[lo + s1a] * line2[lo + off + s2b])
+                        s = binomials * line1[lo + s1a] * line2[b2]
                     else:
-                        hi += 1
-                        s = sum(map(
-                            mul,
-                            map(mul, row_a[lo:hi], row_b[lo + off:hi + off]),
-                            map(mul, line1[lo + s1a:hi + s1a],
-                                line2[lo + off + s2b:hi + off + s2b]),
-                        ))
+                        s = sum(map(mul, binomials, map(
+                            mul, line1[lo + s1a:hi + s1a + 1],
+                            line2[b2:b2 + hi - lo + 1])))
                     if s:
                         total += wgd * dpow[d1] * s
         return total
@@ -592,33 +615,3 @@ def degree_one_failures(values: dict[Tuple4, int]):
                 residual = sum(c * values[t] for t, c in terms)
                 if residual:
                     yield family, target, residual
-
-
-def solve_order(degree: int) -> list[tuple[int, int, Tuple4]]:
-    """Deterministic assembly order for the solver: cheapest targets first.
-
-    Returns (cost, family index, target) triples sorted so that monomials
-    with few splittings (whose constants are cheap and whose unknowns are
-    the concentrated ones) are consumed first.  Families with no
-    unknown-bearing contraction are left to the verifier.
-
-    Each distinct target weight is ranked once, as its (cost, target)
-    pairs in sorted order; each family adds one such run under its own
-    index, so the runs are already sorted and the final sort only merges
-    them.
-    """
-    ranked: dict[int, list[tuple[int, Tuple4]]] = {}
-    items = []
-    for idx, fam in enumerate(equation_families()):
-        w = fam.target_weight(degree)
-        if w < 0 or not fam.cross:
-            continue
-        run = ranked.get(w)
-        if run is None:
-            run = ranked[w] = sorted(
-                ((a + 1) * (b + 1) * (g + 1) * (e + 1), (a, b, g, e))
-                for a, b, g, e in tuples_of_weight(w)
-            )
-        items += [(cost, idx, t) for cost, t in run]
-    items.sort()
-    return items

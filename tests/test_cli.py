@@ -66,6 +66,18 @@ def test_invariant_dimension_invalid_note(capsys):
     assert "dimension-invalid" in err
 
 
+def test_invariant_degree0_note_names_the_degree(capsys):
+    # 1 = 4*0 + 1, so the weight condition holds; the key is invalid only
+    # because the table starts at degree 1, and the note says so
+    code, out, err = run(capsys, "invariant", "1", "0", "0", "0", "0")
+    assert (code, out) == (0, "0\n")
+    assert err == ("note: dimension-invalid key (degree < 1: degree-0 counts "
+                   "are classical, not in the table); value is 0 by "
+                   "convention\n")
+    code, _out, err = run(capsys, "invariant", "1", "0", "0", "0", "1")
+    assert "(alpha+beta+2*gamma+3*delta != 4*degree+1)" in err
+
+
 def test_invariant_json(capsys, cache3):
     code, out, _err = run(capsys, "invariant", "9", "0", "0", "0", "2",
                           "--format", "json", "--cache-path", cache3)

@@ -1,7 +1,9 @@
+import hashlib
 import multiprocessing
 import os
 import random
 import threading
+import tracemalloc
 from collections import Counter
 from types import SimpleNamespace
 
@@ -16,6 +18,7 @@ from gw24.engine import (
     InvariantStore,
     MissingValueError,
     UnderdeterminedSystemError,
+    solve_order,
     solve_values,
     verify_store,
 )
@@ -35,7 +38,6 @@ from gw24.wdvv import (
     degree_one_failures,
     dual_pair,
     equation_families,
-    solve_order,
 )
 
 
@@ -135,9 +137,11 @@ def test_determinism_two_runs():
 
 def test_solve_through_degree9_does_fixed_work(monkeypatch):
     # the solver's work is pinned, so a faster solve cannot hide doing
-    # less: relations assembled, product constants computed (each relation
-    # constant once per dual pair of relations), values
+    # less or other work: relations assembled, in order (a digest of their
+    # (family index, target, degree) sequence), product constants computed
+    # (each relation constant once per dual pair of relations), values
     calls = Counter()
+    assembled = []
 
     def counted(name, fn):
         def wrapper(*args):
@@ -145,13 +149,33 @@ def test_solve_through_degree9_does_fixed_work(monkeypatch):
             return fn(*args)
         return wrapper
 
+    def recorded(fam, target, degree, psi):
+        assembled.append((fam.index, target, degree))
+        return build_equation(fam, target, degree, psi)
+
     monkeypatch.setattr(engine_module, "build_equation",
-                        counted("build_equation", build_equation))
+                        counted("build_equation", recorded))
     monkeypatch.setattr(PsiCalculator, "at", counted("at", PsiCalculator.at))
     eng = Engine()
     eng.solve_up_to(9)
     assert calls == {"build_equation": 5906, "at": 29999}
+    assert hashlib.sha256(repr(assembled).encode()).hexdigest() == (
+        "ed6cc96fabe584cada6a24e11d1d9201d3268fb3c3160dac706160ecc79ddbb8")
     assert sum(len(eng.store.canonical_table(d)) for d in range(1, 10)) == 2925
+
+
+def test_degree9_solve_heap_stays_small():
+    # the relation order is held as shared per-cost target lists and the
+    # window binomials in one slot, so the solve's own heap stays small
+    eng = Engine()
+    eng.solve_up_to(8)
+    tracemalloc.start()
+    try:
+        eng.solve_degree(9)
+        _current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * 2**20
 
 
 def test_solve_requires_lower_degrees():
@@ -314,7 +338,8 @@ def test_relation_with_no_open_key_must_vanish(engine4, monkeypatch):
     monkeypatch.setattr(engine_module, "build_equation", empty_equation)
     with pytest.raises(InconsistencyError) as info:
         solve_values(engine4.store.raw_tables(), 2, None)
-    _cost, fam_idx, target = solve_order(2)[0]
+    _cost, fam_idx, targets = solve_order(2)[0]
+    target = targets[0]
     quadruple = equation_families()[fam_idx].quadruple
     exc = info.value
     assert (exc.degree, exc.quadruple, exc.target) == (2, quadruple, target)

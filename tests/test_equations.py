@@ -17,7 +17,7 @@ from math import comb
 import pytest
 
 from gw24.cohomology import CODIM, Basis, pairing, triple
-from gw24.engine import Engine, MissingValueError
+from gw24.engine import Engine, MissingValueError, solve_order
 from gw24.keys import tuples_of_weight
 from gw24.wdvv import (
     DUAL,
@@ -29,7 +29,6 @@ from gw24.wdvv import (
     dual_pair,
     equation_families,
     pascal_row,
-    solve_order,
     triple_info,
 )
 
@@ -194,20 +193,25 @@ def test_generate_equations_counts_regression():
         len(tuples_of_weight(f.target_weight(1))) for f in equation_families()
     )
     # the solve stream is a subset ordering of the same relations
-    assert len(solve_order(1)) <= count1
+    assert sum(len(targets) for _c, _i, targets in solve_order(1)) <= count1
 
 
 @pytest.mark.parametrize("degree", range(1, 12))
 def test_solve_order_is_every_family_target_sorted(degree):
     # by definition: one (cost, family index, target) per family with
-    # cross terms and per target of its weight class, fully sorted
+    # cross terms and per target of its weight class, fully sorted; the
+    # groups hold them by (cost, family index), one group per pair
     expected = sorted(
         ((a + 1) * (b + 1) * (g + 1) * (e + 1), idx, (a, b, g, e))
         for idx, fam in enumerate(equation_families())
         if fam.cross and fam.target_weight(degree) >= 0
         for a, b, g, e in tuples_of_weight(fam.target_weight(degree))
     )
-    assert solve_order(degree) == expected
+    groups = solve_order(degree)
+    assert [(cost, idx, t) for cost, idx, targets in groups
+            for t in targets] == expected
+    keys = [(cost, idx) for cost, idx, _targets in groups]
+    assert keys == sorted(set(keys))
 
 
 def test_generate_equations_satisfied_by_solution():
@@ -434,6 +438,29 @@ def test_at_is_safe_to_share_between_threads(tables5):
     expected = [serial.at(*job) for job in jobs]
     shared = PsiCalculator(tables5)
     assert race(lambda: [shared.at(*job) for job in jobs]) == [expected] * 6
+
+
+def test_at_window_slot_is_safe_to_share_between_threads(tables5):
+    # ``at`` keeps the binomial windows of its last target's (ta, tb) in
+    # one slot; threads that start at different places of a job list whose
+    # consecutive targets differ in (ta, tb) replace it under each other
+    fam = max(equation_families(), key=lambda f: len(f.quantum))
+    targets = tuples_of_weight(fam.target_weight(6))
+    mixed = [t for pair in zip(targets, reversed(targets)) for t in pair]
+    jobs = [(sigma1, sigma2, target, 6)
+            for target in mixed[::3] for _c, sigma1, sigma2 in fam.quantum]
+    assert len({job[2][:2] for job in jobs}) > 20
+    expected = [PsiCalculator(tables5).at(*job) for job in jobs]
+    shared = PsiCalculator(tables5)
+    starts = iter([k * len(jobs) // 6 for k in range(6)])
+
+    def work():
+        k = next(starts)
+        order = list(range(k, len(jobs))) + list(range(k))
+        got = {i: shared.at(*jobs[i]) for i in order}
+        return [got[i] for i in range(len(jobs))]
+
+    assert race(work) == [expected] * 6
 
 
 def test_build_equation_is_safe_to_share_between_threads(tables5):
