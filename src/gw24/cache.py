@@ -14,9 +14,9 @@ digest of the row block, so a tampered row is rejected deterministically.
 the text ``save_store`` would write for its rows, with any ``tool_version``
 string (reading in text mode turns CRLF line ends into LF).  On load a
 seeded random sample of rows is additionally re-verified against freshly
-assembled relations, guarding against a well-formed file with wrong
-values.  Writes are atomic: temp file in the target directory, then
-rename.
+assembled relations, which catches only some well-formed files with wrong
+values (``cache import`` and ``verify`` check every relation).  Writes are
+atomic: temp file in the target directory, then rename.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ import tempfile
 from itertools import zip_longest
 
 from .engine import InvariantStore
-from .keys import SeedSet
+from .keys import SeedSet, canonical_keys
 from .wdvv import PsiCalculator, build_equation, equation_families
 
 SCHEMA_VERSION = 1
@@ -166,7 +166,7 @@ def _verify_sample(store: InvariantStore) -> None:
     families = equation_families()
     for degree in store.degrees():
         raw = store.raw_table(degree)
-        keys = [t for t in raw if t[0] >= t[1]]
+        keys = canonical_keys(degree)[0]
         for key in rng.sample(keys, min(_SAMPLE_ROWS_PER_DEGREE, len(keys))):
             checked = 0
             for fam in families:

@@ -33,7 +33,7 @@ from typing import Iterator, NamedTuple
 from .keys import (
     InvariantKey,
     SeedSet,
-    canonical_tuples,
+    canonical_keys,
     dimension_valid,
     tuples_of_weight,
 )
@@ -107,28 +107,15 @@ class InvariantStore:
                 f"degrees commit in ascending order; got {degree} after "
                 f"{self.max_degree}"
             )
-        # Distinct keys, each canonical and of the degree's weight, as many
-        # as the canonical keys: then they are exactly those keys.
-        weight = 4 * degree + 1
-        count = sum((weight - 3 * e - 2 * g) // 2 + 1
-                    for e in range(weight // 3 + 1)
-                    for g in range((weight - 3 * e) // 2 + 1))
-        try:
-            ok = len(values) == count and all(
-                a >= b >= 0 and g >= 0 and e >= 0
-                and a + b + 2 * g + 3 * e == weight
-                for a, b, g, e in values)
-        except (TypeError, ValueError):  # a key that is not four numbers
-            ok = False
-        if not ok:
-            expected, keys = set(canonical_tuples(degree)), set(values)
+        expected, keys = canonical_keys(degree)[1], values.keys()
+        if keys != expected:
             raise EngineError(
                 f"degree {degree}: wrong key set: first missing key "
                 f"{min(expected - keys, default=None)}, first unexpected key "
                 f"{min(keys - expected, default=None)}"
             )
         for t, v in values.items():
-            if not isinstance(v, int) or v < 0:
+            if type(v) is not int or v < 0:
                 raise EngineError(
                     f"degree {degree}: value at {t} is not a nonnegative "
                     f"integer: {v!r}"
@@ -244,7 +231,7 @@ def solve_values(
     loop skips relations whose keys the seeds settled, so at degree 1 the
     full table must then satisfy every relation (``degree_one_failures``).
     """
-    unknowns = set(canonical_tuples(degree))
+    unknowns = canonical_keys(degree)[1]
     assigned: dict[Tuple4, int] = {}
     # The assigned keys in both alpha <-> beta orientations.
     known: set[Tuple4] = set()
@@ -368,7 +355,7 @@ class Engine:
                 raise MissingValueError(
                     f"solve_degree({degree}) needs degree "
                     f"{self.store.max_degree + 1} first (e.g. key "
-                    f"{canonical_tuples(self.store.max_degree + 1)[0]})"
+                    f"{canonical_keys(self.store.max_degree + 1)[0][0]})"
                 )
             values = solve_values(self.store.raw_tables(), degree, self.seed_set)
             self.store.commit_degree(degree, values)
@@ -413,7 +400,7 @@ class Engine:
             missing = self.store.max_degree + 1
             raise MissingValueError(
                 f"generate_equations({degree}) needs degree {missing} solved "
-                f"(e.g. key {canonical_tuples(missing)[0]})"
+                f"(e.g. key {canonical_keys(missing)[0][0]})"
             )
         psi = PsiCalculator(self.store.raw_tables())
         return (

@@ -13,7 +13,10 @@ of P^3 exchanges the two codimension-2 conditions).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
+from functools import lru_cache
+from typing import Iterator, NamedTuple
+
+Tuple4 = tuple[int, int, int, int]
 
 
 class InvariantKey(NamedTuple):
@@ -44,27 +47,35 @@ def normalize(key: InvariantKey) -> InvariantKey:
     return key
 
 
-def valid_tuples(degree: int) -> list[tuple[int, int, int, int]]:
+def valid_tuples(degree: int) -> list[Tuple4]:
     """All exponent tuples of weight 4*degree+1, in lexicographic order."""
     return tuples_of_weight(4 * degree + 1)
 
 
-def tuples_of_weight(w: int) -> list[tuple[int, int, int, int]]:
-    """All (alpha, beta, gamma, delta) >= 0 with alpha+beta+2gamma+3delta = w."""
-    out = []
-    for alpha in range(w + 1):
-        for beta in range(w - alpha + 1):
-            rest = w - alpha - beta
-            for gamma in range(rest // 2 + 1):
-                r3 = rest - 2 * gamma
-                if r3 % 3 == 0:
-                    out.append((alpha, beta, gamma, r3 // 3))
-    return out
+def lines_of_weight(w: int) -> Iterator[tuple[int, int, int]]:
+    """Every (gamma, delta, r) >= 0 with 2gamma + 3delta + r = w, by delta,
+    then gamma: the line of keys (alpha, r - alpha, gamma, delta) of weight w."""
+    for delta in range(w // 3 + 1):
+        for gamma in range((w - 3 * delta) // 2 + 1):
+            yield gamma, delta, w - 2 * gamma - 3 * delta
 
 
-def canonical_tuples(degree: int) -> list[tuple[int, int, int, int]]:
-    """Valid tuples with alpha >= beta, one per symmetry orbit."""
-    return [t for t in valid_tuples(degree) if t[0] >= t[1]]
+def tuples_of_weight(w: int) -> list[Tuple4]:
+    """All (alpha, beta, gamma, delta) >= 0 of weight w, in lexicographic order."""
+    return sorted((a, r - a, g, e) for g, e, r in lines_of_weight(w)
+                  for a in range(r + 1))
+
+
+@lru_cache(maxsize=None)
+def canonical_keys(degree: int) -> tuple[tuple[Tuple4, ...], frozenset[Tuple4]]:
+    """The valid tuples with alpha >= beta, sorted and as a set, built once."""
+    keys = tuple(t for t in valid_tuples(degree) if t[0] >= t[1])
+    return keys, frozenset(keys)
+
+
+def canonical_tuples(degree: int) -> list[Tuple4]:
+    """A fresh list of ``canonical_keys(degree)``'s sorted keys."""
+    return list(canonical_keys(degree)[0])
 
 
 @dataclass(frozen=True)

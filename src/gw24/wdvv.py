@@ -62,7 +62,7 @@ from math import comb
 from operator import mul
 
 from .cohomology import CODIM, LABELS, triple
-from .keys import tuples_of_weight
+from .keys import Tuple4, lines_of_weight, tuples_of_weight
 
 # Basis indices 0..5 = T0, T1, Ta, Tb, T3, T4.  Quadruples are drawn from
 # the five positive-codimension classes.
@@ -77,7 +77,6 @@ DUAL = (0, 1, 3, 2, 4, 5)
 Pair = tuple[int, int]
 Pairing = tuple[Pair, Pair]
 Triple = tuple[int, int, int]
-Tuple4 = tuple[int, int, int, int]
 # Weight lines: (gamma, delta, R) -> the values at (a, R - a, gamma, delta).
 Lines = dict[tuple[int, int, int], tuple[int, ...]]
 
@@ -107,6 +106,13 @@ def dual_pair(sigma1: Triple, sigma2: Triple) -> tuple[Triple, Triple]:
 def pascal_row(n: int) -> tuple[int, ...]:
     """Row n of Pascal's triangle: ``pascal_row(n)[k] == comb(n, k)``."""
     return tuple(comb(n, k) for k in range(n + 1))
+
+
+@lru_cache(maxsize=None)
+def pascal_rows(n: int) -> tuple[tuple[int, ...], ...]:
+    """Rows 0..n-1 of Pascal's triangle, one tuple that ``at`` and
+    ``series`` index by n."""
+    return tuple(map(pascal_row, range(n)))
 
 
 @dataclass(frozen=True)
@@ -306,7 +312,6 @@ class PsiCalculator:
         self._packed: dict[tuple[int, Triple, int], list] = {}
         self._widths: dict[int, int] = {}
         self._setup: dict[tuple[Triple, Triple, int], tuple] = {}
-        self._rows: tuple[tuple[int, ...], ...] = ()
         # ((ta, tb), its binomial windows) of the last target of ``at``;
         # ``constant`` calls it for all the products of one target in a row
         self._windows: tuple = (None, None)
@@ -322,12 +327,9 @@ class PsiCalculator:
         if lines is not None:
             return lines
         raw = self.tables[degree]
-        lines = {}
-        for e in range((4 * degree + 1) // 3 + 1):
-            for g in range((4 * degree + 1 - 3 * e) // 2 + 1):
-                r = 4 * degree + 1 - 2 * g - 3 * e
-                lines[(g, e)] = tuple(raw[(a, r - a, g, e)] for a in range(r + 1))
-        self._lines[degree] = lines
+        lines = self._lines[degree] = {
+            (g, e): tuple(raw[(a, r - a, g, e)] for a in range(r + 1))
+            for g, e, r in lines_of_weight(4 * degree + 1)}
         return lines
 
     def shifted_lines(self, degree: int, sigma: Triple) -> Lines:
@@ -353,15 +355,6 @@ class PsiCalculator:
                 shifted[(g - sg, e - se, r)] = tuple(v * dpow for v in values)
         self._shifted[memo_key] = shifted
         return shifted
-
-    def pascal_rows(self, n: int) -> tuple[tuple[int, ...], ...]:
-        """Rows 0..n-1 (at least) of Pascal's triangle, one tuple that
-        ``at`` and ``series`` index by n; it is replaced, never grown in
-        place, so a concurrent reader always holds a whole one."""
-        rows = self._rows
-        if len(rows) < n:
-            rows = self._rows = tuple(map(pascal_row, range(n)))
-        return rows
 
     def _pair_setup(self, sigma1: Triple, sigma2: Triple, degree: int):
         """What ``at`` needs of one (sigma1, sigma2, degree), whatever the
@@ -417,7 +410,7 @@ class PsiCalculator:
         s1a, s1g, s1d, s2b, s2g, s2d, w1, dpow, lines = setup
         ta, tb, tg, td = target
         # A target's entries are at most its weight, 4*degree + 1 or less.
-        rows = self.pascal_rows(4 * degree + 2)
+        rows = pascal_rows(4 * degree + 2)
         row_g, row_d = rows[tg], rows[td]
         # Replaced whole, so a concurrent reader holds a matching pair.
         slot = self._windows
@@ -541,7 +534,7 @@ class PsiCalculator:
             self._series[memo_key] = out
             return out
         width = self.slot_width(degree)
-        rows = self.pascal_rows(4 * degree + 3)
+        rows = pascal_rows(4 * degree + 3)
         # One accumulator per output line (gamma, delta, R), whose slot
         # alpha sums to comb(R, alpha) * series(alpha, R - alpha, gamma, delta).
         acc: dict[tuple[int, int, int], int] = {}

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from collections import Counter
 
@@ -341,6 +342,25 @@ def test_cache_import_tampered_exits_2(capsys, cache3, tmp_path):
     code, _out, err = run(capsys, "cache", "import", "--cache-path", str(bad))
     assert code == 2
     assert "digest" in err
+
+
+def test_cache_import_rejects_a_redigested_wrong_value(capsys, tmp_path):
+    # N(0,0,1,5;4) = 6 written as 7, with the row digest recomputed: the
+    # load's row sample misses it, the random-point check does not
+    path = tmp_path / "d6.gw24"
+    run(capsys, "cache", "export", "--cache-path", str(path),
+        "--max-degree", "6")
+    lines = path.read_text().splitlines()
+    header, rows = json.loads(lines[0]), lines[1:]
+    rows[rows.index("0 0 1 5 4 6")] = "0 0 1 5 4 7"
+    header["content_digest"] = hashlib.sha256(
+        "\n".join(rows).encode()).hexdigest()
+    path.write_text(json.dumps(header, sort_keys=True) + "\n"
+                    + "\n".join(rows) + "\n")
+    code, out, err = run(capsys, "cache", "import", "--cache-path", str(path))
+    assert (code, out) == (2, "")
+    assert err == ("inconsistency: cache rows violate the associativity "
+                   "relations at a random point at degrees 4, 5, 6\n")
 
 
 @pytest.mark.parametrize("content", [b"[1, 2]\n", b'"x"\n', b"{}\n\xff\xfe\n"])

@@ -230,10 +230,16 @@ def test_store_rejects_negative_or_fractional():
 
     store = InvariantStore()
     good = {t: 0 for t in canonical_tuples(1)}
-    bad = dict(good)
-    bad[(5, 0, 0, 0)] = -1
-    with pytest.raises(EngineError):
-        store.commit_degree(1, bad)
+    # bool is an int subclass; a True in the store would be saved as the
+    # row value "True", which no loader accepts
+    for value in (-1, True, False):
+        bad = dict(good)
+        bad[(5, 0, 0, 0)] = value
+        with pytest.raises(EngineError, match=(
+                rf"degree 1: value at \(5, 0, 0, 0\) is not a nonnegative "
+                rf"integer: {value}$")):
+            store.commit_degree(1, bad)
+    assert store.max_degree == 0
 
 
 @pytest.mark.parametrize("swap, missing, unexpected", [

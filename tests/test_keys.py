@@ -1,8 +1,11 @@
+import re
+
 import pytest
 
 from gw24.keys import (
     InvariantKey,
     SeedSet,
+    canonical_keys,
     canonical_tuples,
     dimension_valid,
     normalize,
@@ -43,6 +46,35 @@ def test_tuples_of_weight_small():
     assert sorted(tuples_of_weight(2)) == [
         (0, 0, 1, 0), (0, 2, 0, 0), (1, 1, 0, 0), (2, 0, 0, 0),
     ]
+
+
+def test_tuples_of_weight_is_the_sorted_brute_force_filter():
+    for w in range(26):
+        brute = sorted(
+            (a, b, g, e)
+            for a in range(w + 1) for b in range(w + 1)
+            for g in range(w // 2 + 1) for e in range(w // 3 + 1)
+            if a + b + 2 * g + 3 * e == w
+        )
+        assert tuples_of_weight(w) == brute, w
+
+
+def test_canonical_tuples_returns_a_fresh_list():
+    from gw24.engine import EngineError, InvariantStore
+
+    expected = canonical_tuples(1)
+    handed_out = canonical_tuples(1)
+    dropped = handed_out.pop()
+    handed_out.append((9, 9, 9, 9))
+    assert canonical_tuples(1) == expected
+    assert canonical_keys(1)[1] == set(expected)
+    # the store still wants exactly the canonical keys
+    store = InvariantStore()
+    with pytest.raises(EngineError, match=re.escape(
+            f"first missing key {dropped}, first unexpected key (9, 9, 9, 9)")):
+        store.commit_degree(1, dict.fromkeys(handed_out, 0))
+    store.commit_degree(1, dict.fromkeys(expected, 0))
+    assert list(store.canonical_table(1)) == expected
 
 
 def test_canonical_tuples_are_canonical():
