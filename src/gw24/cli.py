@@ -19,7 +19,7 @@ from .engine import (
     EngineError,
     InconsistencyError,
     UnderdeterminedSystemError,
-    _degrees_failing_at_a_point,
+    degrees_failing_at_a_point,
 )
 from .keys import InvariantKey, dimension_valid
 from .schubert import (
@@ -274,7 +274,7 @@ def cmd_cache_export(args) -> int:
 def cmd_cache_import(args) -> int:
     store = _load_cache(args.cache_path, seed_invariants())
     # The load re-derives only a sample of rows; check every relation.
-    failing = _degrees_failing_at_a_point(store.raw_tables(), store.max_degree)
+    failing = degrees_failing_at_a_point(store.raw_tables(), store.max_degree)
     if failing:
         raise CacheError(
             "cache rows violate the associativity relations at a random "

@@ -26,6 +26,7 @@ import threading
 from collections import Counter, deque
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain
 from math import factorial
 from operator import attrgetter
 from typing import Iterator, NamedTuple
@@ -45,6 +46,7 @@ from .wdvv import (
     WdvvEquation,
     build_equation,
     degree_one_failures,
+    dual_pair,
     equation_families,
     triple_info,
 )
@@ -439,6 +441,9 @@ def _check_degrees(
     The one pool rule of ``verify``: at most ``workers`` processes, one per
     CPU and one per degree, and no pool if that leaves one.  A job is one
     degree, handed out largest first; the pool's report is the serial one.
+    The serial loop and each worker keep one calculator across degrees,
+    and ``_check_degree_relations`` releases each degree's series from it,
+    so only one degree's are held at a time.
     """
     workers = min(workers, os.cpu_count() or 1, len(degrees))
     if workers < 2:
@@ -463,7 +468,7 @@ def verify_store(
     degrees so that a perturbed store cannot satisfy them.
 
     With ``exhaustive`` every degree is checked relation by relation.
-    Otherwise only the degrees that ``_degrees_failing_at_a_point`` flags
+    Otherwise only the degrees that ``degrees_failing_at_a_point`` flags
     are, which gives the same report unless that check misses (see there).
     ``workers`` > 1 spreads the degrees checked relation by relation over
     processes, under the rule of ``_check_degrees``; results are identical
@@ -481,7 +486,7 @@ def verify_store(
         checked += sum(n * len(tuples_of_weight(w)) for w, n in weights.items())
     tables = store.raw_tables()
     degrees = (range(1, max_degree + 1) if exhaustive
-               else sorted(_degrees_failing_at_a_point(tables, max_degree)))
+               else sorted(degrees_failing_at_a_point(tables, max_degree)))
     return WdvvReport(
         max_degree=max_degree,
         equations_checked=checked,
@@ -492,23 +497,40 @@ def verify_store(
 def _check_degree_relations(degree: int, psi: PsiCalculator) -> list[Violation]:
     """Every relation of one degree, as residual weight lines: each family
     sums its cross and quantum terms line by line, and slot a of line
-    (gamma, delta, R) is the residual at target (a, R - a, gamma, delta)."""
+    (gamma, delta, R) is the residual at target (a, R - a, gamma, delta).
+
+    The degree's series are released from ``psi`` as the check goes: each
+    dual orbit's after the last family that reads the pair or its mirror,
+    and the packed lines at the end, as no other degree reads them.  The
+    weight and shifted lines stay for the degrees above.
+    """
+    families = [fam for fam in equation_families()
+                if fam.target_weight(degree) >= 0]
+    # The family after which each dual orbit of pairs is read no more, and
+    # the orbits (both pairs of each) that each family is the last to read.
+    last = {min((s1, s2), dual_pair(s1, s2)): i
+            for i, fam in enumerate(families) for _c, s1, s2 in fam.quantum}
+    done: list[list[tuple[Triple, Triple]]] = [[] for _ in families]
+    for pair, i in last.items():
+        done[i] += (pair, dual_pair(*pair))
     violations = []
-    for fam in equation_families():
-        if fam.target_weight(degree) < 0:
-            continue
-        terms = [(c, psi.shifted_lines(degree, s)) for c, s, _, _ in fam.cross]
-        terms += [(c, psi.series(s1, s2, degree)) for c, s1, s2 in fam.quantum]
+    for fam, pairs in zip(families, done):
         residual: dict[tuple[int, int, int], list[int]] = {}
-        for coeff, lines in terms:
+        # Lazily: a list would hold the last family's series, released or
+        # not, until this family's were all built.
+        for coeff, lines in chain(
+                ((c, psi.shifted_lines(degree, s)) for c, s, _, _ in fam.cross),
+                ((c, psi.series(s1, s2, degree)) for c, s1, s2 in fam.quantum)):
             for key, line in lines.items():
                 acc = residual.get(key) or [0] * len(line)
                 residual[key] = [x + coeff * v for x, v in zip(acc, line)]
+        psi.release(degree, pairs)
         violations += sorted((
             Violation(degree, fam.quadruple, (a, r - a, g, e), v)
             for (g, e, r), line in residual.items() if any(line)
             for a, v in enumerate(line) if v
         ), key=attrgetter("target"))
+    psi.release(degree)
     return violations
 
 
@@ -527,7 +549,7 @@ def _is_prime(n: int) -> bool:
     )
 
 
-def _degrees_failing_at_a_point(
+def degrees_failing_at_a_point(
     tables: dict[int, dict[Tuple4, int]], max_degree: int
 ) -> set[int]:
     """Degrees where some family's relations fail at a random point.

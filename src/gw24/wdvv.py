@@ -300,8 +300,10 @@ class PsiCalculator:
     Pascal rows, ``pascal_rows``.  ``constant`` sums a relation's products
     with ``at`` and memoizes the sum per (family, target, degree), so the
     dual relation reads it instead of summing its own.  All are pure given
-    the tables and memoized, so instances may be shared by concurrent
-    readers once built.
+    the tables and memoized.  ``release`` forgets series and packed lines,
+    which only the sole user of an instance may do: the verifier, on its
+    own instance.  An instance that nothing releases from may be shared by
+    concurrent readers once built.
     """
 
     def __init__(self, tables: dict[int, dict[Tuple4, int]]):
@@ -518,6 +520,14 @@ class PsiCalculator:
             packed.append((g, e, r, p))
         self._packed[memo_key] = packed
         return packed
+
+    def release(self, degree: int, pairs=None) -> None:
+        """Forget the series of ``pairs`` at ``degree``, or by default every
+        packed line; a later ``series`` call builds them again."""
+        for pair in pairs or ():
+            self._series.pop((degree, *pair), None)
+        if pairs is None:
+            self._packed.clear()
 
     def series(self, sigma1: Triple, sigma2: Triple, degree: int) -> Lines:
         """The whole product series at total degree ``degree``, as one

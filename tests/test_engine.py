@@ -789,3 +789,65 @@ def test_pool_jobs_are_the_degrees_checked(engine4, inline_pool, monkeypatch):
     assert verify_store(engine4.store, 4, workers=2) == serial
     assert inline_pool.jobs == [4, 3, 2, 1]
     assert outside == []
+
+
+def test_pool_workers_release_each_degree(engine4, inline_pool, monkeypatch):
+    # the inline workers keep _WORKER_PSI across jobs, as a real worker does:
+    # each job releases its degree's series and packed lines, and keeps the
+    # weight and shifted lines that the degrees above read
+    serial = verify_store(engine4.store, 4, workers=1)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    assert verify_store(engine4.store, 4, workers=2) == serial
+    assert inline_pool.jobs == [4, 3, 2, 1]
+    psi = engine_module._WORKER_PSI
+    assert not psi._series and not psi._packed
+    assert psi._lines and psi._shifted
+
+
+def _store_of(tables):
+    store = InvariantStore()
+    for d in sorted(tables):
+        store.commit_degree(d, tables[d])
+    return store
+
+
+def test_exhaustive_check_heap_stays_small(tables5):
+    # each dual orbit's series are held from their first reader to their
+    # last, and a degree's packed lines until the degree is done; keeping
+    # every degree's series to the end peaked at 4.5 MiB here
+    store = _store_of(tables5)
+    tracemalloc.start()
+    try:
+        report = verify_store(store, 5, exhaustive=True)
+        _current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.ok
+    assert peak < 2.0 * 2**20
+
+
+def test_exhaustive_check_convolves_each_series_once(tables6, monkeypatch):
+    # a series is released only after its last reader, so no (degree, pair)
+    # misses the memo twice (misses counted as the benchmark's tracer counts
+    # them), and none is left at the end
+    misses = Counter()
+    calculators = set()
+    series = PsiCalculator.series
+
+    def counting_series(self, sigma1, sigma2, degree):
+        calculators.add(self)
+        pair = tuple(sorted((sigma1, sigma2)))
+        if (degree, *pair) not in self._series:
+            misses[degree, pair] += 1
+        return series(self, sigma1, sigma2, degree)
+
+    monkeypatch.setattr(PsiCalculator, "series", counting_series)
+    assert verify_store(_store_of(tables6), 6, exhaustive=True).ok
+    # every pair read, and the representative of its dual orbit
+    read = {(d, (s1, s2)) for d in range(1, 7) for fam in equation_families()
+            if fam.target_weight(d) >= 0 for _c, s1, s2 in fam.quantum}
+    read |= {(d, min(pair, dual_pair(*pair))) for d, pair in read}
+    assert misses.keys() == read
+    assert max(misses.values()) == 1
+    (psi,) = calculators
+    assert not psi._series and not psi._packed
