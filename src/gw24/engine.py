@@ -23,12 +23,12 @@ from __future__ import annotations
 import os
 import secrets
 import threading
-from collections import Counter, deque
+from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain
 from math import factorial
-from operator import attrgetter
+from operator import attrgetter, mul
 from typing import Iterator, NamedTuple
 
 from .keys import (
@@ -36,6 +36,7 @@ from .keys import (
     SeedSet,
     canonical_keys,
     dimension_valid,
+    lines_of_weight,
     tuples_of_weight,
 )
 from .schubert import seed_invariants
@@ -479,11 +480,10 @@ def verify_store(
             f"verify needs degrees up to {max_degree} solved, "
             f"have {store.max_degree}"
         )
-    checked = 0
-    for degree in range(1, max_degree + 1):
-        # One relation per family and target of its weight class.
-        weights = Counter(fam.target_weight(degree) for fam in equation_families())
-        checked += sum(n * len(tuples_of_weight(w)) for w, n in weights.items())
+    # One relation per family and target of its weight class.
+    checked = sum(r + 1 for degree in range(1, max_degree + 1)
+                  for fam in equation_families()
+                  for _g, _e, r in lines_of_weight(fam.target_weight(degree)))
     tables = store.raw_tables()
     degrees = (range(1, max_degree + 1) if exhaustive
                else sorted(degrees_failing_at_a_point(tables, max_degree)))
@@ -556,12 +556,12 @@ def degrees_failing_at_a_point(
 
     The relations of one family at degree d are the coefficients of one
     polynomial: its terms with each factor F(d, sigma) = sum v x^t / t!
-    over the keys k of ``tables[d]`` that dominate the shift, at
-    t = k - shift and v = d**n1 N(k), where (shift, n1) =
-    ``triple_info(sigma)``; the binomials of ``series`` are ratios of
-    these factorials.  Modulo a random 61-bit prime p, a family whose
-    residual is nonzero mod p vanishes at a random point with probability
-    at most (4d + 4) / p (Schwartz-Zippel).
+    over the keys k of degree d that dominate the shift, at t = k - shift
+    and v = d**n1 N(k), where (shift, n1) = ``triple_info(sigma)``; the
+    binomials of ``series`` are ratios of these factorials, and F is one
+    dot product per line of ``PsiCalculator.weight_lines``.  Modulo a random
+    61-bit prime p, a family whose residual is nonzero mod p vanishes at a
+    random point with probability at most (4d + 4) / p (Schwartz-Zippel).
     """
     p = 0
     while not _is_prime(p):
@@ -572,14 +572,21 @@ def degrees_failing_at_a_point(
          for k in range(4 * max_degree + 2)]
         for x in (secrets.randbelow(p) for _ in range(4))
     )
+    ab = [[pa[a] * pb[r - a] % p for a in range(r + 1)]
+          for r in range(4 * max_degree + 2)]
+    psi = PsiCalculator(tables)
 
     @lru_cache(maxsize=None)
     def egf(degree: int, sigma: Triple) -> int:
         (sa, sb, sg, se), n1, _alive = triple_info(sigma)
+        # Line (g, e) holds N(a, R - a, g, e) at a = 0..R; the keys that
+        # dominate the shift are a = sa..R - sb, the slice below, weighted
+        # by ab[r][a - sa] = pa[a - sa] pb[R - a - sb], r = R - sa - sb >= 0.
         return degree**n1 * sum(
-            v * pa[a - sa] * pb[b - sb] * pg[g - sg] * pe[e - se]
-            for (a, b, g, e), v in tables[degree].items()
-            if a >= sa and b >= sb and g >= sg and e >= se
+            sum(map(mul, line[sa:len(line) - sb], ab[len(line) - 1 - sa - sb]))
+            * pg[g - sg] * pe[e - se]
+            for (g, e), line in psi.weight_lines(degree).items()
+            if g >= sg and e >= se and len(line) > sa + sb
         ) % p
 
     failing = set()

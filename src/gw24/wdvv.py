@@ -283,7 +283,11 @@ class PsiCalculator:
     ``weight_lines`` reindexes one degree's table as tuples of values
     indexed by alpha, one per (gamma, delta), and ``shifted_lines``
     reindexes those lines by the targets a quantum third partial feeds: a
-    relation's cross part at its own degree.  Two evaluation modes for
+    relation's cross part at its own degree.  The random-point check
+    (``engine.degrees_failing_at_a_point``) reads the weight lines too: for
+    a shift (sa, sb, sg, se), the slice line[sa:len(line) - sb] of each
+    line with gamma >= sg, delta >= se and len(line) > sa + sb (shorter
+    lines hold no key that dominates the shift).  Two evaluation modes for
     the products: ``at`` sums the splittings of a single target as dot
     products over windows of weight lines and Pascal rows (cheap for one
     equation), from a set-up that ``_pair_setup`` builds once per

@@ -17,7 +17,12 @@ import sympy as sp
 from gw24 import __version__
 from gw24.cache import load_store, save_store
 from gw24.cohomology import Basis, triple
-from gw24.engine import Engine, InvariantStore, verify_store
+from gw24.engine import (
+    Engine,
+    InvariantStore,
+    degrees_failing_at_a_point,
+    verify_store,
+)
 from gw24.keys import InvariantKey, valid_tuples
 from gw24.schubert import PARTITION_OF_CLASS, classical_triple_oracle
 from gw24.table import GOLDEN_Q
@@ -101,6 +106,23 @@ def test_criterion_5_overdetermination_and_mutation(solved):
             trials += 1
     print(f"\nACCEPTANCE 5 PASS: {report.equations_checked} relations hold "
           f"at d<=9; all {trials} single-value d=3 mutations detected")
+
+
+def test_point_check_flags_only_wrong_degrees(solved):
+    """The random-point check through d=9: nothing on the solved tables,
+    and a raised value at the degree it sits in and every degree above,
+    whose constants read it."""
+    engine, _ = solved
+    raw = engine.store.raw_tables()
+    assert degrees_failing_at_a_point(raw, 9) == set()
+    for (a, b, g, e, d), flagged in (((37, 0, 0, 0, 9), {9}),
+                                     ((21, 0, 0, 0, 5), {5, 6, 7, 8, 9})):
+        tables = {k: dict(table) for k, table in raw.items()}
+        for key in ((a, b, g, e), (b, a, g, e)):
+            tables[d][key] += 1
+        assert degrees_failing_at_a_point(tables, 9) == flagged
+    print("\nPASS: the random-point check flags no degree of the d<=9 "
+          "tables, and exactly the mutated degree and those above")
 
 
 def test_criterion_6_symmetry_sampling(solved):

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import os
 import re
 
 import pytest
@@ -270,6 +271,24 @@ def test_save_is_atomic_no_temp_left(engine3, tmp_path):
     path = tmp_path / "store.gw24"
     save_store(engine3.store, str(path), engine3.seed_set, __version__)
     save_store(engine3.store, str(path), engine3.seed_set, __version__)
+    assert [p.name for p in tmp_path.iterdir()] == ["store.gw24"]
+
+
+def test_failed_write_keeps_the_old_file(engine3, tmp_path, monkeypatch,
+                                        capsys):
+    path = tmp_path / "store.gw24"
+    save_store(engine3.store, str(path), engine3.seed_set, __version__)
+    before = path.read_bytes()
+
+    def failing_replace(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(os, "replace", failing_replace)
+    # the export loads degrees 1..3, solves degree 4 and fails to write
+    assert main(["cache", "export", "--max-degree", "4",
+                 "--cache-path", str(path)]) == 1
+    assert "usage error: cannot write cache file" in capsys.readouterr().err
+    assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["store.gw24"]
 
 

@@ -103,6 +103,19 @@ def test_q_number_rejects_degree_zero(engine4):
         engine4.q_number(0)
 
 
+def test_solve_degree_rejects_degree_zero(engine4):
+    with pytest.raises(ValueError, match="degree must be >= 1"):
+        engine4.solve_degree(0)
+
+
+def test_store_value_is_zero_off_the_dimension_condition(engine4):
+    store = engine4.store
+    assert store.value(InvariantKey(13, 0, 0, 0, 3)) == 504
+    # weight 14 at degree 3, and a degree the store does not hold
+    assert store.value(InvariantKey(14, 0, 0, 0, 3)) == 0
+    assert store.value(InvariantKey(0, 0, 0, 0, 7)) == 0
+
+
 def test_symmetry_by_sampling(engine4):
     rng = random.Random(11)
     for degree in (1, 2, 3, 4):
