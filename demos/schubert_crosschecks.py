@@ -1,7 +1,8 @@
 """The independent Schubert-calculus oracle, and what it checks.
 
-The engine's ring tables are six-by-six integer tables that could hide a
-typo forever.  This oracle recomputes everything from a different starting
+The engine's classical ring is one table, the triple-intersection tensor
+over six classes (its T0 slice is the Poincare pairing), and a typo in it
+could hide forever.  This oracle recomputes everything from a different starting
 point: partitions in the 2x2 box with box-adding Pieri rules.  It also
 carries the quantum Pieri table for multiplication by the hyperplane class
 and the six seed counts with their consistency checks.

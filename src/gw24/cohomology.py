@@ -1,9 +1,10 @@
 """Classical cohomology ring of G(2,4), the Grassmannian of lines in P^3.
 
-The ring has six Schubert basis classes.  Everything in this module is a
-finite exact-integer table: the Poincare pairing, the triple-intersection
-tensor, and the cup product derived from them.  All objects are immutable
-after import and safe for unrestricted concurrent reads.
+The ring has six Schubert basis classes.  Its one table is the
+triple-intersection tensor, in exact integers; the Poincare pairing is the
+tensor's T0 slice (the fundamental-class axiom), and the cup product is
+derived from the two.  All objects are immutable after import and safe for
+unrestricted concurrent reads.
 
 Basis classes and their geometric meaning:
 
@@ -39,15 +40,6 @@ class Basis(IntEnum):
 CODIM = (0, 1, 2, 2, 3, 4)
 LABELS = ("T0", "T1", "Ta", "Tb", "T3", "T4")
 
-# Nonzero entries of the intersection form g_ij = integral of T_i cup T_j.
-# The matrix is symmetric and equals its own inverse on this basis.
-_PAIRING_NONZERO = {
-    (Basis.T0, Basis.T4): 1,
-    (Basis.T1, Basis.T3): 1,
-    (Basis.TA, Basis.TA): 1,
-    (Basis.TB, Basis.TB): 1,
-}
-
 # Nonzero orbits of the totally symmetric triple tensor
 # A(i,j,k) = integral of T_i cup T_j cup T_k, stored by sorted index triple.
 # These are exactly the third partials of the cubic classical potential
@@ -68,9 +60,9 @@ def codim(c: Basis) -> int:
 
 
 def pairing(i: Basis, j: Basis) -> int:
-    """Intersection form g_ij."""
-    key = (i, j) if i <= j else (j, i)
-    return _PAIRING_NONZERO.get(key, 0)
+    """Intersection form g_ij = A(T0, i, j); on this basis the matrix is
+    symmetric and equals its own inverse."""
+    return triple(Basis.T0, i, j)
 
 
 def triple(i: Basis, j: Basis, k: Basis) -> int:

@@ -29,6 +29,7 @@ from gw24.wdvv import (
     dual_pair,
     equation_families,
     pascal_row,
+    relation_terms,
     triple_info,
 )
 
@@ -501,6 +502,16 @@ def test_dual_families_are_an_involution():
         assert {(s1, s2): c for c, s1, s2 in dual.quantum} == {
             dual_pair(s1, s2): fam.dual_sign * c for c, s1, s2 in fam.quantum}
     assert sum(fam.dual == fam.index for fam in fams) == 13
+    # so a relation is its dual's at the mirrored target, term by term:
+    # the same equation up to the sign
+    for d in range(1, 5):
+        for fam in fams:
+            dual = fams[fam.dual]
+            for a, b, g, e in tuples_of_weight(fam.target_weight(d)):
+                assert relation_terms(fam, (a, b, g, e), d) == tuple(
+                    (key, fam.dual_sign * c)
+                    for key, c in relation_terms(dual, (b, a, g, e), d)
+                ), (fam.label(), (a, b, g, e), d)
 
 
 @pytest.mark.parametrize("degree", [2, 3, 4, 5, 6])

@@ -1,8 +1,10 @@
+import json
 from itertools import product
 
 import pytest
 
-from gw24 import schubert
+from gw24 import cohomology, schubert
+from gw24.cli import main
 from gw24.cohomology import Basis, ClassCombination, codim, triple
 from gw24.keys import InvariantKey
 from gw24.schubert import (
@@ -16,6 +18,7 @@ from gw24.schubert import (
     quantum_pieri,
     seed_invariants,
 )
+from gw24.wdvv import equation_families
 
 T0, T1, TA, TB, T3, T4 = Basis
 
@@ -76,6 +79,49 @@ def test_triple_oracle_matches_tensor_on_all_216():
 
 def test_classical_consistency_helper_is_clean():
     assert classical_consistency_failures() == []
+
+
+def labels(key):
+    return ",".join(c.label for c in key)
+
+
+@pytest.mark.parametrize(
+    "key", [(T0, T0, T4), (T0, T1, T3), (T0, TA, TA), (T0, TB, TB)], ids=labels
+)
+@pytest.mark.parametrize("value", [2, 0, -1])
+def test_mistyped_pairing_entry_fails_the_check(monkeypatch, key, value):
+    # the pairing is the tensor's T0 slice: a wrong entry there is one
+    # oracle line plus the pairing line, and stops before cup, which needs
+    # each class's Poincare dual; the relation families are built (and
+    # cached) from the true table first
+    equation_families()
+    if value:
+        monkeypatch.setitem(cohomology._TRIPLE_NONZERO, key, value)
+    else:
+        monkeypatch.delitem(cohomology._TRIPLE_NONZERO, key)
+    assert classical_consistency_failures() == [
+        f"triple({labels(key)}) = {value}, oracle says 1",
+        "pairing matrix has a negative entry" if value < 0
+        else "pairing matrix is not its own inverse",
+    ]
+
+
+def test_verify_reports_a_mistyped_pairing(monkeypatch, capsys):
+    equation_families()
+    monkeypatch.setitem(cohomology._TRIPLE_NONZERO, (T0, T1, T3), 2)
+    code = main(["verify", "--max-degree", "1", "--format", "json"])
+    captured = capsys.readouterr()
+    assert (code, captured.err) == (2, "")
+    failed = [c["check"] for c in json.loads(captured.out)["checks"]
+              if not c["ok"]]
+    assert failed == ["classical-ring-vs-oracle"]
+
+
+def test_mistyped_product_entry_is_one_line(monkeypatch):
+    equation_families()
+    monkeypatch.setitem(cohomology._TRIPLE_NONZERO, (T1, T1, TA), 2)
+    assert classical_consistency_failures() == [
+        "triple(T1,T1,Ta) = 2, oracle says 1"]
 
 
 def test_quantum_pieri_table():
