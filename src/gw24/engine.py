@@ -502,7 +502,7 @@ def _check_degree_relations(degree: int, psi: PsiCalculator) -> list[Violation]:
     The degree's series are released from ``psi`` as the check goes: each
     dual orbit's after the last family that reads the pair or its mirror,
     and the packed lines at the end, as no other degree reads them.  The
-    weight and shifted lines stay for the degrees above.
+    weight lines stay for the degrees above.
     """
     families = [fam for fam in equation_families()
                 if fam.target_weight(degree) >= 0]
@@ -519,9 +519,11 @@ def _check_degree_relations(degree: int, psi: PsiCalculator) -> list[Violation]:
         # Lazily: a list would hold the last family's series, released or
         # not, until this family's were all built.
         for coeff, lines in chain(
-                ((c, psi.shifted_lines(degree, s)) for c, s, _, _ in fam.cross),
-                ((c, psi.series(s1, s2, degree)) for c, s1, s2 in fam.quantum)):
-            for key, line in lines.items():
+                ((c * degree**n1, psi.shifted_lines(degree, s))
+                 for c, s, _, n1 in fam.cross),
+                ((c, psi.series(s1, s2, degree).items())
+                 for c, s1, s2 in fam.quantum)):
+            for key, line in lines:
                 acc = residual.get(key) or [0] * len(line)
                 residual[key] = [x + coeff * v for x, v in zip(acc, line)]
         psi.release(degree, pairs)
@@ -559,9 +561,10 @@ def degrees_failing_at_a_point(
     over the keys k of degree d that dominate the shift, at t = k - shift
     and v = d**n1 N(k), where (shift, n1) = ``triple_info(sigma)``; the
     binomials of ``series`` are ratios of these factorials, and F is one
-    dot product per line of ``PsiCalculator.weight_lines``.  Modulo a random
-    61-bit prime p, a family whose residual is nonzero mod p vanishes at a
-    random point with probability at most (4d + 4) / p (Schwartz-Zippel).
+    dot product per slice of ``PsiCalculator.shifted_lines``.  Modulo a
+    random 61-bit prime p, a family whose residual is nonzero mod p
+    vanishes at a random point with probability at most (4d + 4) / p
+    (Schwartz-Zippel).
     """
     p = 0
     while not _is_prime(p):
@@ -578,15 +581,9 @@ def degrees_failing_at_a_point(
 
     @lru_cache(maxsize=None)
     def egf(degree: int, sigma: Triple) -> int:
-        (sa, sb, sg, se), n1, _alive = triple_info(sigma)
-        # Line (g, e) holds N(a, R - a, g, e) at a = 0..R; the keys that
-        # dominate the shift are a = sa..R - sb, the slice below, weighted
-        # by ab[r][a - sa] = pa[a - sa] pb[R - a - sb], r = R - sa - sb >= 0.
-        return degree**n1 * sum(
-            sum(map(mul, line[sa:len(line) - sb], ab[len(line) - 1 - sa - sb]))
-            * pg[g - sg] * pe[e - se]
-            for (g, e), line in psi.weight_lines(degree).items()
-            if g >= sg and e >= se and len(line) > sa + sb
+        return degree ** triple_info(sigma)[1] * sum(
+            sum(map(mul, line, ab[r])) * pg[g] * pe[e]
+            for (g, e, r), line in psi.shifted_lines(degree, sigma)
         ) % p
 
     failing = set()

@@ -281,38 +281,35 @@ class PsiCalculator:
     containing every valid exponent tuple of that degree in both symmetry
     orientations, with equal values (the Ta <-> Tb duality).
     ``weight_lines`` reindexes one degree's table as tuples of values
-    indexed by alpha, one per (gamma, delta), and ``shifted_lines``
-    reindexes those lines by the targets a quantum third partial feeds: a
-    relation's cross part at its own degree.  The random-point check
-    (``engine.degrees_failing_at_a_point``) reads the weight lines too: for
-    a shift (sa, sb, sg, se), the slice line[sa:len(line) - sb] of each
-    line with gamma >= sg, delta >= se and len(line) > sa + sb (shorter
-    lines hold no key that dominates the shift).  Two evaluation modes for
-    the products: ``at`` sums the splittings of a single target as dot
-    products over windows of weight lines and Pascal rows (cheap for one
-    equation), from a set-up that ``_pair_setup`` builds once per
-    (sigma1, sigma2, degree) and the binomial windows of the last target's
-    (ta, tb), kept in a one-entry slot; ``series`` computes every target of a
-    weight class at once (cheap when a family needs them all), in the
-    line form of ``shifted_lines``.  It multiplies the ``packed_lines`` of
-    the two factors pairwise, one integer product per pair of lines, into
-    one packed accumulator per output line, and divides slot alpha of each
-    by comb(R, alpha); ``slot_width`` derives the slot width that keeps
-    this exact, which needs every value to be nonnegative.  A pair's series
-    is its dual pair's with every line reversed (alpha and beta swapped),
-    so each dual orbit is computed once.  Both kernels index one tuple of
-    Pascal rows, ``pascal_rows``.  ``constant`` sums a relation's products
-    with ``at`` and memoizes the sum per (family, target, degree), so the
-    dual relation reads it instead of summing its own.  All are pure given
-    the tables and memoized.  ``release`` forgets series and packed lines,
-    which only the sole user of an instance may do: the verifier, on its
-    own instance.  An instance that nothing releases from may be shared by
-    concurrent readers once built.
+    indexed by alpha, one per (gamma, delta), and ``shifted_lines`` slices
+    those lines by the targets a quantum third partial feeds, for a
+    relation's cross part at its own degree, for ``series`` and for the
+    random-point check (``engine.degrees_failing_at_a_point``).  Two
+    evaluation modes for the products: ``at`` sums the splittings of a
+    single target as dot products over windows of weight lines and Pascal
+    rows (cheap for one equation), from a set-up that ``_pair_setup`` builds
+    once per (sigma1, sigma2, degree) and the binomial windows of the last
+    target's (ta, tb), kept in a one-entry slot; ``series`` computes every
+    target of a weight class at once (cheap when a family needs them all),
+    in the line form of ``shifted_lines``.  It multiplies the
+    ``packed_lines`` of the two factors pairwise, one integer product per
+    pair of lines, into one packed accumulator per output line, and divides
+    slot alpha of each by comb(R, alpha); ``slot_width`` derives the slot
+    width that keeps this exact, which needs every value to be nonnegative.
+    A pair's series is its dual pair's with every line reversed (alpha and
+    beta swapped), so each dual orbit is computed once.  Both kernels index
+    one tuple of Pascal rows, ``pascal_rows``.  ``constant`` sums a
+    relation's products with ``at`` and memoizes the sum per (family,
+    target, degree), so the dual relation reads it instead of summing its
+    own.  All are pure given the tables, and all but ``shifted_lines`` are
+    memoized.  ``release`` forgets series and packed lines (the weight
+    lines stay), which only the sole user of an instance may do: the
+    verifier, on its own instance.  An instance that nothing releases from
+    may be shared by concurrent readers once built.
     """
 
     def __init__(self, tables: dict[int, dict[Tuple4, int]]):
         self.tables = tables
-        self._shifted: dict[tuple[int, Triple], Lines] = {}
         self._series: dict[tuple[int, Triple, Triple], Lines] = {}
         self._lines: dict[int, dict[tuple[int, int], tuple[int, ...]]] = {}
         self._packed: dict[tuple[int, Triple, int], list] = {}
@@ -338,29 +335,18 @@ class PsiCalculator:
             for g, e, r in lines_of_weight(4 * degree + 1)}
         return lines
 
-    def shifted_lines(self, degree: int, sigma: Triple) -> Lines:
-        """One degree's weight lines reindexed by the targets that a quantum
-        third partial over ``sigma`` feeds (a relation's cross part at its
-        own degree, and one factor of ``series``): L[a] = degree**n1 *
-        N(a + shift) at (a, r - a, gamma, delta).  Lines that cannot carry
-        the shift or are all zero are left out; ``sigma`` never holds the
-        unit class (``equation_families`` drops those terms)."""
-        memo_key = (degree, sigma)
-        cached = self._shifted.get(memo_key)
-        if cached is not None:
-            return cached
-        (sa, sb, sg, se), n1, _alive = triple_info(sigma)
-        dpow = degree**n1
-        shifted = {}
+    def shifted_lines(self, degree: int, sigma: Triple):
+        """Yield, for each weight line of ``degree`` that can carry the
+        shift of a quantum third partial over ``sigma``, its slice keyed by
+        the targets it feeds: ((gamma - sg, delta - se, r), L) with L[a] =
+        N(a + shift) at (a, r - a, gamma, delta).  Slices may be all zero,
+        and callers apply degree**n1 (see ``triple_info``); ``sigma`` never
+        holds the unit class (``equation_families`` drops those terms)."""
+        (sa, sb, sg, se), _n1, _alive = triple_info(sigma)
         for (g, e), line in self.weight_lines(degree).items():
             r = len(line) - 1 - sa - sb
-            if g < sg or e < se or r < 0:
-                continue
-            values = line[sa:sa + r + 1]
-            if any(values):
-                shifted[(g - sg, e - se, r)] = tuple(v * dpow for v in values)
-        self._shifted[memo_key] = shifted
-        return shifted
+            if g >= sg and e >= se and r >= 0:
+                yield (g - sg, e - se, r), line[sa:sa + r + 1]
 
     def _pair_setup(self, sigma1: Triple, sigma2: Triple, degree: int):
         """What ``at`` needs of one (sigma1, sigma2, degree), whatever the
@@ -509,25 +495,29 @@ class PsiCalculator:
         return width
 
     def packed_lines(self, degree: int, sigma: Triple, width: int):
-        """The ``shifted_lines`` of ``series``' factors, each packed into
-        one integer: entry (gamma, delta, r, P) packs comb(r, a) * L[a]
-        into the slot of ``width`` bits at index a."""
+        """The nonzero ``shifted_lines`` of ``series``' factors, each packed
+        into one integer: entry (gamma, delta, r, P) packs degree**n1 *
+        comb(r, a) * L[a] into the slot of ``width`` bits at index a."""
         memo_key = (degree, sigma, width)
         cached = self._packed.get(memo_key)
         if cached is not None:
             return cached
+        dpow = degree ** triple_info(sigma)[1]
         packed = []
-        for (g, e, r), line in self.shifted_lines(degree, sigma).items():
+        for (g, e, r), line in self.shifted_lines(degree, sigma):
+            if not any(line):
+                continue
             p = 0
             for c, v in zip(reversed(pascal_row(r)), reversed(line)):
                 p = (p << width) + c * v
-            packed.append((g, e, r, p))
+            packed.append((g, e, r, p * dpow))
         self._packed[memo_key] = packed
         return packed
 
     def release(self, degree: int, pairs=None) -> None:
         """Forget the series of ``pairs`` at ``degree``, or by default every
-        packed line; a later ``series`` call builds them again."""
+        packed line; a later ``series`` call builds them again.  The weight
+        lines stay."""
         for pair in pairs or ():
             self._series.pop((degree, *pair), None)
         if pairs is None:

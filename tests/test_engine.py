@@ -806,15 +806,17 @@ def test_pool_jobs_are_the_degrees_checked(engine4, inline_pool, monkeypatch):
 
 def test_pool_workers_release_each_degree(engine4, inline_pool, monkeypatch):
     # the inline workers keep _WORKER_PSI across jobs, as a real worker does:
-    # each job releases its degree's series and packed lines, and keeps the
-    # weight and shifted lines that the degrees above read
+    # each job releases its degree's series and packed lines; of what the
+    # jobs built, only the weight lines and the slot widths survive
     serial = verify_store(engine4.store, 4, workers=1)
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     assert verify_store(engine4.store, 4, workers=2) == serial
     assert inline_pool.jobs == [4, 3, 2, 1]
     psi = engine_module._WORKER_PSI
-    assert not psi._series and not psi._packed
-    assert psi._lines and psi._shifted
+    held = {name for name, memo in vars(psi).items()
+            if isinstance(memo, dict) and memo and name != "tables"}
+    assert held == {"_lines", "_widths"}
+    assert sorted(psi._lines) == [1, 2, 3, 4]
 
 
 def _store_of(tables):
@@ -824,19 +826,20 @@ def _store_of(tables):
     return store
 
 
-def test_exhaustive_check_heap_stays_small(tables5):
+def test_exhaustive_check_heap_stays_small(tables6):
     # each dual orbit's series are held from their first reader to their
-    # last, and a degree's packed lines until the degree is done; keeping
-    # every degree's series to the end peaked at 4.5 MiB here
-    store = _store_of(tables5)
+    # last, a degree's packed lines until the degree is done, and the cross
+    # terms' slices of the weight lines not at all: about 1.0 MiB here;
+    # storing each (degree, triple)'s slices as well peaked at 2.3 MiB
+    store = _store_of(tables6)
     tracemalloc.start()
     try:
-        report = verify_store(store, 5, exhaustive=True)
+        report = verify_store(store, 6, exhaustive=True)
         _current, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert report.ok
-    assert peak < 2.0 * 2**20
+    assert peak < 1.5 * 2**20
 
 
 def test_exhaustive_check_convolves_each_series_once(tables6, monkeypatch):

@@ -541,28 +541,44 @@ def test_constants_are_computed_once_per_dual_pair(tables5, degree):
 
 def test_shifted_lines_reindex_the_table(tables5):
     # every triple of a relation's cross part, against the keys of the
-    # table that dominate its shift, reindexed one by one
+    # table that dominate its shift, reindexed one by one: every such key
+    # in exactly one slice, zeros included, and nothing else
     psi = PsiCalculator(tables5)
     sigmas = sorted({s for f in equation_families() for _c, s, _sh, _n1 in f.cross})
+    width = psi.slot_width(6)
+    zero_slices = 0
     for degree in range(1, 6):
         for sigma in sigmas:
             shift, n1, _alive = triple_info(sigma)
             naive = {
-                tuple(k - s for k, s in zip(key, shift)): v * degree**n1
+                tuple(k - s for k, s in zip(key, shift)): v
                 for key, v in tables5[degree].items()
                 if all(k >= s for k, s in zip(key, shift))
             }
-            lines = psi.shifted_lines(degree, sigma)
-            assert all(any(line) for line in lines.values()), (degree, sigma)
-            slots = {
-                (a, r - a, g, e): v
-                for (g, e, r), line in lines.items()
-                for a, v in enumerate(line)
-            }
-            assert slots.items() <= naive.items(), (degree, sigma)
-            assert as_entries(lines) == {
-                t: v for t, v in naive.items() if v
-            }, (degree, sigma)
+            lines = list(psi.shifted_lines(degree, sigma))
+            slots = [
+                (a, r - a, g, e)
+                for (g, e, r), line in lines
+                for a in range(len(line))
+            ]
+            assert len(slots) == len(set(slots)), (degree, sigma)
+            assert as_entries(dict(lines)) == {
+                t: v for t, v in naive.items() if v}, (degree, sigma)
+            assert set(slots) == naive.keys(), (degree, sigma)
+            nonzero = [(key, line) for key, line in lines if any(line)]
+            zero_slices += len(lines) - len(nonzero)
+            # packed: exactly the nonzero slices, slot a holding
+            # comb(r, a) * degree**n1 * N
+            packed = psi.packed_lines(degree, sigma, width)
+            assert [(g, e, r) for g, e, r, _p in packed] == [
+                key for key, _line in nonzero], (degree, sigma)
+            for (g, e, r, p), (_key, line) in zip(packed, nonzero):
+                assert p >> (r + 1) * width == 0
+                assert [(p >> a * width) & ((1 << width) - 1)
+                        for a in range(r + 1)] == [
+                    comb(r, a) * degree**n1 * v for a, v in enumerate(line)]
+    # the test covers slices that hold only zeros
+    assert zero_slices
 
 
 def test_at_vanishes_at_degree_one(tables5):
