@@ -236,8 +236,10 @@ def solve_values(
     """
     unknowns = canonical_keys(degree)[1]
     assigned: dict[Tuple4, int] = {}
-    # The assigned keys in both alpha <-> beta orientations.
-    known: set[Tuple4] = set()
+    # The assigned keys in both alpha <-> beta orientations, coded as
+    # ((a*k + b)*k + g)*k + e; a target plus a shift has entries below k.
+    k = 4 * degree + 8
+    known: set[int] = set()
     queue: deque[Tuple4] = deque()
     # watch[t]: the parked relations [open terms, constant, (quadruple,
     # target)] that hold the open key t, in parking order.
@@ -260,8 +262,9 @@ def solve_values(
                 )
             if t not in assigned:
                 assigned[t] = value
-                known.add(t)
-                known.add((t[1], t[0], t[2], t[3]))
+                a, b, g, e = t
+                known.add(((a * k + b) * k + g) * k + e)
+                known.add(((b * k + a) * k + g) * k + e)
                 queue.append(t)
             elif assigned[t] != value:
                 raise InconsistencyError(
@@ -291,9 +294,10 @@ def solve_values(
 
     psi = PsiCalculator(tables)
     families = equation_families()
-    # The distinct key shifts of each family's cross terms.
-    shifts = [tuple(dict.fromkeys(shift for _c, _s, shift, _n1 in fam.cross))
-              for fam in families]
+    # The distinct key shifts of each family's cross terms, as codes.
+    shifts = [tuple(dict.fromkeys(
+        ((sa * k + sb) * k + sg) * k + se
+        for _c, _s, (sa, sb, sg, se), _n1 in fam.cross)) for fam in families]
     for _cost, fam_idx, targets in solve_order(degree):
         if len(assigned) == len(unknowns):
             break
@@ -303,8 +307,9 @@ def solve_values(
             # that cannot assign anything new.  Redundant relations are
             # still checked wholesale by the verifier.
             ta, tb, tg, td = target
-            for sa, sb, sg, se in fam_shifts:
-                if (ta + sa, tb + sb, tg + sg, td + se) not in known:
+            code = ((ta * k + tb) * k + tg) * k + td
+            for shift in fam_shifts:
+                if code + shift not in known:
                     break
             else:
                 continue

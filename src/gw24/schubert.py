@@ -60,11 +60,8 @@ def _pad(lam: Partition) -> tuple[int, int]:
 
 
 def _unpad(l1: int, l2: int) -> Partition:
-    if l2 > 0:
-        return (l1, l2)
-    if l1 > 0:
-        return (l1,)
-    return ()
+    # every caller has added a box, so l1 >= 1
+    return (l1, l2) if l2 > 0 else (l1,)
 
 
 def _add_one_box(lam: Partition) -> list[Partition]:

@@ -287,9 +287,10 @@ class PsiCalculator:
     random-point check (``engine.degrees_failing_at_a_point``).  Two
     evaluation modes for the products: ``at`` sums the splittings of a
     single target as dot products over windows of weight lines and Pascal
-    rows (cheap for one equation), from a set-up that ``_pair_setup`` builds
-    once per (sigma1, sigma2, degree) and the binomial windows of the last
-    target's (ta, tb), kept in a one-entry slot; ``series`` computes every
+    rows (cheap for one equation), from the lines of ``columns``, a set-up
+    that ``_pair_setup`` builds once per (sigma1, sigma2, degree) and the
+    binomial windows of the last target's (ta, tb), kept in a one-entry
+    slot; ``series`` computes every
     target of a weight class at once (cheap when a family needs them all),
     in the line form of ``shifted_lines``.  It multiplies the
     ``packed_lines`` of the two factors pairwise, one integer product per
@@ -303,9 +304,9 @@ class PsiCalculator:
     target, degree), so the dual relation reads it instead of summing its
     own.  All are pure given the tables, and all but ``shifted_lines`` are
     memoized.  ``release`` forgets series and packed lines (the weight
-    lines stay), which only the sole user of an instance may do: the
-    verifier, on its own instance.  An instance that nothing releases from
-    may be shared by concurrent readers once built.
+    lines and columns stay), which only the sole user of an instance may
+    do: the verifier, on its own instance.  An instance that nothing
+    releases from may be shared by concurrent readers once built.
     """
 
     def __init__(self, tables: dict[int, dict[Tuple4, int]]):
@@ -315,6 +316,7 @@ class PsiCalculator:
         self._packed: dict[tuple[int, Triple, int], list] = {}
         self._widths: dict[int, int] = {}
         self._setup: dict[tuple[Triple, Triple, int], tuple] = {}
+        self._columns = None
         # ((ta, tb), its binomial windows) of the last target of ``at``;
         # ``constant`` calls it for all the products of one target in a row
         self._windows: tuple = (None, None)
@@ -348,18 +350,36 @@ class PsiCalculator:
             if g >= sg and e >= se and r >= 0:
                 yield (g - sg, e - se, r), line[sa:sa + r + 1]
 
+    def columns(self):
+        """Every degree's weight lines by column: ``columns()[delta][gamma]``
+        lists by degree d the line (gamma, delta) of d, None where d has
+        none.  Built whole on first use, over the degrees the tables hold
+        then, and then published."""
+        cols = self._columns
+        if cols is None:
+            top = max(self.tables)
+            # 2 gamma + 3 delta <= 4 top + 1, so gamma <= 2 top - delta
+            cols = [[[None] * (top + 1) for _g in range(2 * top + 1 - e)]
+                    for e in range(2 * top + 1)]
+            for d in self.tables:
+                for (g, e), line in self.weight_lines(d).items():
+                    cols[e][g][d] = line
+            self._columns = cols
+        return cols
+
     def _pair_setup(self, sigma1: Triple, sigma2: Triple, degree: int):
         """What ``at`` needs of one (sigma1, sigma2, degree), whatever the
         target: the shift fields it reads, w1 (the first factor's shift
-        weight), dpow[d1] = d1**n1 * (degree - d1)**n2, and the weight
-        lines of every lower degree, indexed by degree."""
+        weight), dpow[d1] = d1**n1 * (degree - d1)**n2 and the ``columns``.
+        (dpow stays per pair: a module-level table of it, filled during a
+        cache load and kept, held pymalloc arenas and raised peak RSS.)"""
         (s1a, s1b, s1g, s1d), n1, _alive1 = triple_info(sigma1)
         (_s2a, s2b, s2g, s2d), n2, _alive2 = triple_info(sigma2)
         setup = (
             s1a, s1g, s1d, s2b, s2g, s2d,
             s1a + s1b + 2 * s1g + 3 * s1d,
             [d1**n1 * (degree - d1) ** n2 for d1 in range(degree)],
-            [None] + [self.weight_lines(d) for d in range(1, degree)],
+            self.columns(),
         )
         self._setup[(sigma1, sigma2, degree)] = setup
         return setup
@@ -367,11 +387,12 @@ class PsiCalculator:
     @staticmethod
     def _binomial_windows(row_a, row_b):
         """The binomials of ``at``'s windows for a target (ta, tb), from
-        its Pascal rows: indexed by r1 = a1 + b1, (lo, hi, w), where a1 runs
-        over [lo, hi] (a1 <= ta and b1 <= tb) and w lists comb(ta, a1)
-        comb(tb, b1), or is that one number when lo == hi.  (A list: a
-        tuple built from an iterator is resized off its size's free list,
-        so replaced slots would pile up free tuples.)"""
+        its Pascal rows: indexed by r1 = a1 + b1, (lo, b, n, w), where a1
+        runs over the n values from lo (a1 <= ta, b1 <= tb), b2 = tb - b1
+        from b, and w lists comb(ta, a1) comb(tb, b1), or is that one
+        number when n == 1.  (A list: a tuple built from an iterator is
+        resized off its size's free list, so replaced slots would pile up
+        free tuples.)"""
         ta, tb = len(row_a) - 1, len(row_b) - 1
         windows = []
         for r1 in range(ta + tb + 1):
@@ -380,26 +401,26 @@ class PsiCalculator:
             # comb(tb, b1) = row_b[tb - b1], which rises with a1
             off = tb - r1
             w = list(map(mul, row_a[lo:hi + 1], row_b[lo + off:hi + off + 1]))
-            windows.append((lo, hi, w[0] if lo == hi else w))
+            windows.append((lo, lo + off, hi - lo + 1, w[0] if lo == hi else w))
         return windows
 
     def at(self, sigma1: Triple, sigma2: Triple, target: Tuple4, degree: int) -> int:
         """Coefficient of the target monomial in the product of the two
         quantum third-partial series, at total curve degree ``degree``.
 
-        Everything that depends on (sigma1, sigma2, degree) alone is set
-        up once per instance by ``_pair_setup``, the products of the
-        target's binomial rows in alpha and beta are built once per
-        (ta, tb) by ``_binomial_windows`` and kept for the next call, and
-        its rows in gamma and delta are read from ``pascal_rows``, so a
-        call only walks the target's splittings.  Results are not
+        Each split (gamma1, delta1) of the target reads its factors'
+        ``columns`` once and indexes them by d1 and degree - d1.  Each d1 is
+        one window: a dot product of two line slices with binomials that
+        ``_binomial_windows`` builds per (ta, tb) and keeps for the next
+        call.  comb(tg, gamma1) comb(td, delta1) multiplies a split's sum
+        once.  Only degrees below ``degree`` are read, and results are not
         memoized: few targets repeat."""
         if degree < 2:
             return 0
         setup = self._setup.get((sigma1, sigma2, degree))
         if setup is None:
             setup = self._pair_setup(sigma1, sigma2, degree)
-        s1a, s1g, s1d, s2b, s2g, s2d, w1, dpow, lines = setup
+        s1a, s1g, s1d, s2b, s2g, s2d, w1, dpow, cols = setup
         ta, tb, tg, td = target
         # A target's entries are at most its weight, 4*degree + 1 or less.
         rows = pascal_rows(4 * degree + 2)
@@ -415,7 +436,8 @@ class PsiCalculator:
             for g1 in range(tg + 1):
                 # The first factor's key (a1, b1, g1, d1v) + shift1 has
                 # weight 4*d1 + 1, so a1 + b1 = r1 = 4*d1 - base; the second
-                # factor takes the rest, so 0 <= r1 <= ta + tb bounds d1.
+                # factor takes the rest, so 0 <= r1 <= ta + tb bounds d1,
+                # and both factors' lines exist at every d1 of the range.
                 base = w1 + 2 * g1 + 3 * d1v - 1
                 d1_lo = -(-base // 4) or 1
                 d1_hi = (ta + tb + base) // 4
@@ -423,26 +445,27 @@ class PsiCalculator:
                     d1_hi = degree - 1
                 if d1_lo > d1_hi:
                     continue
-                line1_key = (g1 + s1g, d1v + s1d)
-                line2_key = (tg - g1 + s2g, td - d1v + s2d)
-                wgd = row_g[g1] * row_d[d1v]
+                col1 = cols[d1v + s1d][g1 + s1g]
+                col2 = cols[td - d1v + s2d][tg - g1 + s2g]
+                part = 0
                 for d1 in range(d1_lo, d1_hi + 1):
-                    r1 = 4 * d1 - base
-                    line1 = lines[d1][line1_key]
-                    line2 = lines[degree - d1][line2_key]
-                    # a1 runs over the window [lo, hi] of r1; the second
-                    # factor's b2 = tb - r1 + a1 rises with a1, and line2 is
-                    # read at beta = b2 + s2b, so both lines are slices.
-                    lo, hi, binomials = windows[r1]
-                    b2 = lo + tb - r1 + s2b
-                    if lo == hi:
-                        s = binomials * line1[lo + s1a] * line2[b2]
+                    line1 = col1[d1]
+                    line2 = col2[degree - d1]
+                    # a1 runs over the window of r1; the second factor's b2
+                    # rises with a1, and line2 is read at beta = b2 + s2b,
+                    # so both lines are slices.
+                    lo, b2, n, binomials = windows[4 * d1 - base]
+                    if n == 1:
+                        s = binomials * line1[lo + s1a] * line2[b2 + s2b]
                     else:
+                        lo += s1a
+                        b2 += s2b
                         s = sum(map(mul, binomials, map(
-                            mul, line1[lo + s1a:hi + s1a + 1],
-                            line2[b2:b2 + hi - lo + 1])))
+                            mul, line1[lo:lo + n], line2[b2:b2 + n])))
                     if s:
-                        total += wgd * dpow[d1] * s
+                        part += dpow[d1] * s
+                if part:
+                    total += row_g[g1] * row_d[d1v] * part
         return total
 
     def constant(self, family: EquationFamily, target: Tuple4,

@@ -592,6 +592,28 @@ def test_mutation_is_detected(engine4):
             assert v.degree == 3
 
 
+def test_raised_q3_breaks_two_relations_of_its_degree(engine4):
+    # Q_3 = N(13,0,0,0;3) raised by one in both orientations: at its own
+    # degree only the two relations that hold its key fail, and one degree
+    # up the 114 relations whose constants read it
+    tables = {d: dict(engine4.store.canonical_table(d)) for d in (1, 2, 3, 4)}
+    tables[3][(13, 0, 0, 0)] += 1
+    store = _store_of(tables)
+    raw = store.raw_tables()[3]
+    assert raw[13, 0, 0, 0] == raw[0, 13, 0, 0] == 505
+    report = verify_store(store, 4)
+    assert [(v.degree, v.quadruple, v.target, v.residual)
+            for v in report.violations if v.degree == 3] == [
+        (3, (1, 1, 2, 2), (10, 0, 0, 0), 1),
+        (3, (1, 1, 3, 3), (0, 10, 0, 0), 1)]
+    above = [(v.quadruple, v.target, v.residual)
+             for v in report.violations if v.degree == 4]
+    assert len(above) == 114
+    assert hashlib.sha256(repr(above).encode()).hexdigest() == (
+        "fbfbe3ccbed5121953c90d7c0caebc26c4d034178b97c19b3f414e3c2b183493")
+    assert len(report.violations) == 116
+
+
 def test_mutation_violations_are_closed_under_duality(engine4):
     # a wrong degree-2 value reaches the degree-3 and degree-4 constants
     # through mirrored series as well as convolved ones: relation F at

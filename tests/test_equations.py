@@ -581,6 +581,33 @@ def test_shifted_lines_reindex_the_table(tables5):
     assert zero_slices
 
 
+def test_at_reads_only_degrees_below_its_own():
+    # the column map spans every degree of its tables, and the solver's
+    # tables may hold the degree it asks for and higher; ``psi`` holds
+    # only the degrees below the one asked, where a read of degree
+    # ``degree`` or above fails.  Both orders of each pair: with the
+    # shift-free triple second, only the kernel's cap keeps d1 below
+    # ``degree``
+    eng = Engine()
+    eng.solve_up_to(9)
+    tables9 = eng.store.raw_tables()
+    full = PsiCalculator(tables9)
+    calls = 0
+    for degree in range(2, 10):
+        psi = PsiCalculator({d: tables9[d] for d in range(1, degree)})
+        for fam in equation_families()[::4]:
+            if fam.target_weight(degree) < 0:
+                continue
+            for target in tuples_of_weight(fam.target_weight(degree))[::13]:
+                for _c, sigma1, sigma2 in fam.quantum:
+                    for pair in ((sigma1, sigma2), (sigma2, sigma1)):
+                        assert psi.at(*pair, target, degree) == full.at(
+                            *pair, target, degree), (pair, target)
+                        calls += 1
+    assert len(psi.columns()[0][0]) == 9 and len(full.columns()[0][0]) == 10
+    assert calls > 5000
+
+
 def test_at_vanishes_at_degree_one(tables5):
     psi = PsiCalculator(tables5)
     for fam in equation_families():

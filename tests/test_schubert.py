@@ -12,6 +12,7 @@ from gw24.schubert import (
     PARTITION_OF_CLASS,
     PARTITIONS,
     SeedTableError,
+    _add_row_strip,
     classical_consistency_failures,
     classical_pieri,
     classical_triple_oracle,
@@ -42,6 +43,12 @@ def test_classical_pieri_examples():
     assert classical_pieri((2,)) == ClassCombination.of(T3)
     assert classical_pieri((1, 1)) == ClassCombination.of(T3)
     assert classical_pieri((2, 1)) == ClassCombination.of(T4)
+
+
+def test_row_strip_one_box_per_row():
+    # sigma2 * sigma1 = sigma21: the strip puts one box in each row, the
+    # only way for it to fit the 2x2 box
+    assert _add_row_strip((1,)) == [(2, 1)]
 
 
 def test_classical_pieri_stays_in_box():
