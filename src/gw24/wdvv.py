@@ -32,9 +32,11 @@ Structure exploited throughout this module:
   computed once per dual pair of relations;
 * the weight condition ties alpha to beta once (gamma, delta) and the
   degree are fixed, so a degree's table splits into weight lines indexed
-  by alpha, and the splittings of one target that share (gamma, delta) in
-  each factor and the first factor's degree form one contiguous window of
-  two lines: a single product constant is a sum of such dot products;
+  by alpha, which ``PsiCalculator`` indexes once, by (delta, gamma,
+  degree), when it is built.  The splittings of one target that share
+  (gamma, delta) in each factor and the first factor's degree form one
+  contiguous window of two lines: a single product constant is a sum of
+  such dot products;
 * a whole product series is a sum of products of weight lines.  When the
   two factors of a splitting (a1, b1) + (a2, b2) = (A, B) lie on lines
   with alpha + beta = r1 and r2, then A + B = R = r1 + r2, and the
@@ -279,18 +281,20 @@ class PsiCalculator:
 
     ``tables`` maps each solved degree to its raw table {(a,b,g,d): value}
     containing every valid exponent tuple of that degree in both symmetry
-    orientations, with equal values (the Ta <-> Tb duality).
-    ``weight_lines`` reindexes one degree's table as tuples of values
-    indexed by alpha, one per (gamma, delta), and ``shifted_lines`` slices
-    those lines by the targets a quantum third partial feeds, for a
-    relation's cross part at its own degree, for ``series`` and for the
-    random-point check (``engine.degrees_failing_at_a_point``).  Two
-    evaluation modes for the products: ``at`` sums the splittings of a
-    single target as dot products over windows of weight lines and Pascal
-    rows (cheap for one equation), from the lines of ``columns``, a set-up
-    that ``_pair_setup`` builds once per (sigma1, sigma2, degree) and the
-    binomial windows of the last target's (ta, tb), kept in a one-entry
-    slot; ``series`` computes every
+    orientations, with equal values (the Ta <-> Tb duality).  The
+    constructor reads every table once into ``columns``, the one index of
+    weight lines: ``columns[delta][gamma][d]`` is the line (gamma, delta)
+    of degree d as a tuple of values indexed by alpha, with beta =
+    4d + 1 - 2 gamma - 3 delta - alpha, None where d has none.  It is a snapshot of the degrees the tables hold then.
+    ``shifted_lines`` slices those lines by the targets a quantum third
+    partial feeds, for a relation's cross part at its own degree, for
+    ``series`` and for the random-point check
+    (``engine.degrees_failing_at_a_point``).  Two evaluation modes for the
+    products: ``at`` sums the splittings of a single target as dot
+    products over windows of weight lines and Pascal rows (cheap for one
+    equation), from ``columns``, a set-up that ``_pair_setup`` builds once
+    per (sigma1, sigma2, degree) and the binomial windows of the last
+    target's (ta, tb), kept in a one-entry slot; ``series`` computes every
     target of a weight class at once (cheap when a family needs them all),
     in the line form of ``shifted_lines``.  It multiplies the
     ``packed_lines`` of the two factors pairwise, one integer product per
@@ -302,75 +306,52 @@ class PsiCalculator:
     one tuple of Pascal rows, ``pascal_rows``.  ``constant`` sums a
     relation's products with ``at`` and memoizes the sum per (family,
     target, degree), so the dual relation reads it instead of summing its
-    own.  All are pure given the tables, and all but ``shifted_lines`` are
-    memoized.  ``release`` forgets series and packed lines (the weight
-    lines and columns stay), which only the sole user of an instance may
-    do: the verifier, on its own instance.  An instance that nothing
-    releases from may be shared by concurrent readers once built.
+    own.  All are pure given the tables, and all the products are
+    memoized; ``shifted_lines`` slices the index afresh on each call.
+    ``release`` forgets series and packed lines, which only the sole user
+    of an instance may do: the verifier, on its own instance.  An instance
+    that nothing releases from may be shared by concurrent readers from
+    construction.
     """
 
     def __init__(self, tables: dict[int, dict[Tuple4, int]]):
         self.tables = tables
+        top = max(tables, default=0)
+        # 2 gamma + 3 delta <= 4 top + 1, so gamma <= 2 top - delta
+        self.columns = cols = [
+            [[None] * (top + 1) for _g in range(2 * top + 1 - e)]
+            for e in range(2 * top + 1)]
+        for d, raw in tables.items():
+            for g, e, r in lines_of_weight(4 * d + 1):
+                cols[e][g][d] = tuple(
+                    raw[(a, r - a, g, e)] for a in range(r + 1))
         self._series: dict[tuple[int, Triple, Triple], Lines] = {}
-        self._lines: dict[int, dict[tuple[int, int], tuple[int, ...]]] = {}
         self._packed: dict[tuple[int, Triple, int], list] = {}
         self._widths: dict[int, int] = {}
         self._setup: dict[tuple[Triple, Triple, int], tuple] = {}
-        self._columns = None
         # ((ta, tb), its binomial windows) of the last target of ``at``;
         # ``constant`` calls it for all the products of one target in a row
         self._windows: tuple = (None, None)
         self._constants: dict[tuple[int, Tuple4, int], int] = {}
 
-    def weight_lines(self, degree: int) -> dict[tuple[int, int], tuple[int, ...]]:
-        """One degree's table as weight lines: (gamma, delta) -> the values
-        indexed by alpha, with beta = 4*degree + 1 - 2*gamma - 3*delta - alpha.
-
-        By the Ta <-> Tb duality the same tuple is also indexed by beta.
-        """
-        lines = self._lines.get(degree)
-        if lines is not None:
-            return lines
-        raw = self.tables[degree]
-        lines = self._lines[degree] = {
-            (g, e): tuple(raw[(a, r - a, g, e)] for a in range(r + 1))
-            for g, e, r in lines_of_weight(4 * degree + 1)}
-        return lines
-
     def shifted_lines(self, degree: int, sigma: Triple):
         """Yield, for each weight line of ``degree`` that can carry the
         shift of a quantum third partial over ``sigma``, its slice keyed by
         the targets it feeds: ((gamma - sg, delta - se, r), L) with L[a] =
-        N(a + shift) at (a, r - a, gamma, delta).  Slices may be all zero,
-        and callers apply degree**n1 (see ``triple_info``); ``sigma`` never
-        holds the unit class (``equation_families`` drops those terms)."""
+        N(a + shift) at (a, r - a, gamma, delta), in the order of
+        ``lines_of_weight``.  Slices may be all zero, and callers apply
+        degree**n1 (see ``triple_info``); ``sigma`` never holds the unit
+        class (``equation_families`` drops those terms)."""
         (sa, sb, sg, se), _n1, _alive = triple_info(sigma)
-        for (g, e), line in self.weight_lines(degree).items():
-            r = len(line) - 1 - sa - sb
-            if g >= sg and e >= se and r >= 0:
-                yield (g - sg, e - se, r), line[sa:sa + r + 1]
-
-    def columns(self):
-        """Every degree's weight lines by column: ``columns()[delta][gamma]``
-        lists by degree d the line (gamma, delta) of d, None where d has
-        none.  Built whole on first use, over the degrees the tables hold
-        then, and then published."""
-        cols = self._columns
-        if cols is None:
-            top = max(self.tables)
-            # 2 gamma + 3 delta <= 4 top + 1, so gamma <= 2 top - delta
-            cols = [[[None] * (top + 1) for _g in range(2 * top + 1 - e)]
-                    for e in range(2 * top + 1)]
-            for d in self.tables:
-                for (g, e), line in self.weight_lines(d).items():
-                    cols[e][g][d] = line
-            self._columns = cols
-        return cols
+        cols = self.columns
+        for g, e, r in lines_of_weight(
+                4 * degree + 1 - sa - sb - 2 * sg - 3 * se):
+            yield (g, e, r), cols[e + se][g + sg][degree][sa:sa + r + 1]
 
     def _pair_setup(self, sigma1: Triple, sigma2: Triple, degree: int):
         """What ``at`` needs of one (sigma1, sigma2, degree), whatever the
         target: the shift fields it reads, w1 (the first factor's shift
-        weight), dpow[d1] = d1**n1 * (degree - d1)**n2 and the ``columns``.
+        weight) and dpow[d1] = d1**n1 * (degree - d1)**n2.
         (dpow stays per pair: a module-level table of it, filled during a
         cache load and kept, held pymalloc arenas and raised peak RSS.)"""
         (s1a, s1b, s1g, s1d), n1, _alive1 = triple_info(sigma1)
@@ -379,7 +360,6 @@ class PsiCalculator:
             s1a, s1g, s1d, s2b, s2g, s2d,
             s1a + s1b + 2 * s1g + 3 * s1d,
             [d1**n1 * (degree - d1) ** n2 for d1 in range(degree)],
-            self.columns(),
         )
         self._setup[(sigma1, sigma2, degree)] = setup
         return setup
@@ -420,7 +400,8 @@ class PsiCalculator:
         setup = self._setup.get((sigma1, sigma2, degree))
         if setup is None:
             setup = self._pair_setup(sigma1, sigma2, degree)
-        s1a, s1g, s1d, s2b, s2g, s2d, w1, dpow, cols = setup
+        s1a, s1g, s1d, s2b, s2g, s2d, w1, dpow = setup
+        cols = self.columns
         ta, tb, tg, td = target
         # A target's entries are at most its weight, 4*degree + 1 or less.
         rows = pascal_rows(4 * degree + 2)
@@ -539,8 +520,9 @@ class PsiCalculator:
 
     def release(self, degree: int, pairs=None) -> None:
         """Forget the series of ``pairs`` at ``degree``, or by default every
-        packed line; a later ``series`` call builds them again.  The weight
-        lines stay."""
+        packed line; a later ``series`` call builds them again.  The
+        weight-line index ``columns`` is built with the calculator and
+        stays."""
         for pair in pairs or ():
             self._series.pop((degree, *pair), None)
         if pairs is None:

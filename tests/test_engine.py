@@ -829,7 +829,8 @@ def test_pool_jobs_are_the_degrees_checked(engine4, inline_pool, monkeypatch):
 def test_pool_workers_release_each_degree(engine4, inline_pool, monkeypatch):
     # the inline workers keep _WORKER_PSI across jobs, as a real worker does:
     # each job releases its degree's series and packed lines; of what the
-    # jobs built, only the weight lines and the slot widths survive
+    # jobs built, only the slot widths survive, beside the weight-line
+    # index built with the calculator
     serial = verify_store(engine4.store, 4, workers=1)
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     assert verify_store(engine4.store, 4, workers=2) == serial
@@ -837,8 +838,8 @@ def test_pool_workers_release_each_degree(engine4, inline_pool, monkeypatch):
     psi = engine_module._WORKER_PSI
     held = {name for name, memo in vars(psi).items()
             if isinstance(memo, dict) and memo and name != "tables"}
-    assert held == {"_lines", "_widths"}
-    assert sorted(psi._lines) == [1, 2, 3, 4]
+    assert held == {"_widths"}
+    assert [d for d, line in enumerate(psi.columns[0][0]) if line] == [1, 2, 3, 4]
 
 
 def _store_of(tables):

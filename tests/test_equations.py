@@ -604,7 +604,7 @@ def test_at_reads_only_degrees_below_its_own():
                         assert psi.at(*pair, target, degree) == full.at(
                             *pair, target, degree), (pair, target)
                         calls += 1
-    assert len(psi.columns()[0][0]) == 9 and len(full.columns()[0][0]) == 10
+    assert len(psi.columns[0][0]) == 9 and len(full.columns[0][0]) == 10
     assert calls > 5000
 
 

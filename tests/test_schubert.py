@@ -131,6 +131,39 @@ def test_mistyped_product_entry_is_one_line(monkeypatch):
         "triple(T1,T1,Ta) = 2, oracle says 1"]
 
 
+def test_mistyped_entry_off_the_pairing_breaks_cup_associativity(monkeypatch):
+    # (T1,T1,T4) lies off the T0 slice, so the pairing stays right and the
+    # associativity sub-check runs: T1 cup T1 gains 2 T0, which breaks the
+    # eight triples below
+    equation_families()
+    monkeypatch.setitem(cohomology._TRIPLE_NONZERO, (T1, T1, T4), 2)
+    assert classical_consistency_failures() == [
+        "triple(T1,T1,T4) = 2, oracle says 0",
+        *(f"cup not associative at ({labels(key)})" for key in (
+            (T1, T1, TA), (T1, T1, TB), (T1, TA, TA), (T1, TB, TB),
+            (TA, T1, T1), (TA, TA, T1), (TB, T1, T1), (TB, TB, T1))),
+    ]
+
+
+def test_wrong_point_q_term_fails_its_own_check(monkeypatch):
+    # both q-term checks read N(0,0,1,1;1), so a wrong seed fails the (2,1)
+    # check first; a wrong (2,2) q-term of quantum_pieri fails the (2,2)
+    # check alone
+    pieri = schubert.quantum_pieri
+
+    def wrong_point(lam):
+        q = pieri(lam)
+        if lam == (2, 2):
+            return schubert.QuantumClassCombination(
+                q.classical_part, ClassCombination.of(T1, 2))
+        return q
+
+    monkeypatch.setattr(schubert, "quantum_pieri", wrong_point)
+    with pytest.raises(SeedTableError) as exc:
+        seed_invariants()
+    assert str(exc.value) == "quantum Pieri q-term at (2,2) disagrees with seeds"
+
+
 def test_quantum_pieri_table():
     q = quantum_pieri((1,))
     assert q.classical_part == ClassCombination({TA: 1, TB: 1})
