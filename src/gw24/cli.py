@@ -87,7 +87,7 @@ def build_parser() -> _Parser:
     ver.add_argument(
         "--workers", type=int, default=1,
         help="processes for the relation-by-relation check: at most one per "
-             "CPU and per degree checked, no pool if that leaves one",
+             "usable CPU and per degree checked, no pool if that leaves one",
     )
     ver.add_argument("--cache-path")
     ver.add_argument("--format", choices=("text", "json"), default="text")

@@ -438,6 +438,14 @@ def _worker_check(degree: int):
     return degree, _check_degree_relations(degree, _WORKER_PSI)
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity set where the
+    platform has one (``os.cpu_count`` ignores affinity), else the count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _check_degrees(
     tables: dict[int, dict[Tuple4, int]], degrees, workers: int
 ) -> list[Violation]:
@@ -445,13 +453,13 @@ def _check_degrees(
     ascending degree order.
 
     The one pool rule of ``verify``: at most ``workers`` processes, one per
-    CPU and one per degree, and no pool if that leaves one.  A job is one
-    degree, handed out largest first; the pool's report is the serial one.
-    The serial loop and each worker keep one calculator across degrees,
-    and ``_check_degree_relations`` releases each degree's series from it,
-    so only one degree's are held at a time.
+    CPU it may use (``_usable_cpus``) and one per degree, and no pool if
+    that leaves one.  A job is one degree, handed out largest first; the
+    pool's report is the serial one.  The serial loop and each worker keep
+    one calculator across degrees, and ``_check_degree_relations`` releases
+    each degree's series from it, so only one degree's are held at a time.
     """
-    workers = min(workers, os.cpu_count() or 1, len(degrees))
+    workers = min(workers, _usable_cpus(), len(degrees))
     if workers < 2:
         psi = PsiCalculator(tables)
         return [v for d in degrees for v in _check_degree_relations(d, psi)]
@@ -500,9 +508,12 @@ def verify_store(
 
 
 def _check_degree_relations(degree: int, psi: PsiCalculator) -> list[Violation]:
-    """Every relation of one degree, as residual weight lines: each family
-    sums its cross and quantum terms line by line, and slot a of line
-    (gamma, delta, R) is the residual at target (a, R - a, gamma, delta).
+    """Every relation of one degree, as residual weight lines: slot a of
+    line (gamma, delta, R) is the residual at target (a, R - a, gamma,
+    delta).  Each family groups its terms' lines by key, the cross terms'
+    ``shifted_lines`` slices with coefficient c * degree**n1 and the
+    quantum terms' series lines with coefficient c, and computes each slot
+    once, as the sum of the coefficients times that slot of the lines.
 
     The degree's series are released from ``psi`` as the check goes: each
     dual orbit's after the last family that reads the pair or its mirror,
@@ -520,23 +531,31 @@ def _check_degree_relations(degree: int, psi: PsiCalculator) -> list[Violation]:
         done[i] += (pair, dual_pair(*pair))
     violations = []
     for fam, pairs in zip(families, done):
-        residual: dict[tuple[int, int, int], list[int]] = {}
+        # (coefficients, lines) of the terms of each residual line
+        terms: dict[tuple[int, int, int], tuple[list, list]] = {}
         # Lazily: a list would hold the last family's series, released or
         # not, until this family's were all built.
-        for coeff, lines in chain(
+        for coeff, keyed_lines in chain(
                 ((c * degree**n1, psi.shifted_lines(degree, s))
                  for c, s, _, n1 in fam.cross),
                 ((c, psi.series(s1, s2, degree).items())
                  for c, s1, s2 in fam.quantum)):
-            for key, line in lines:
-                acc = residual.get(key) or [0] * len(line)
-                residual[key] = [x + coeff * v for x, v in zip(acc, line)]
+            for key, line in keyed_lines:
+                group = terms.get(key)
+                if group is None:
+                    group = terms[key] = ([], [])
+                group[0].append(coeff)
+                group[1].append(line)
         psi.release(degree, pairs)
-        violations += sorted((
-            Violation(degree, fam.quadruple, (a, r - a, g, e), v)
-            for (g, e, r), line in residual.items() if any(line)
-            for a, v in enumerate(line) if v
-        ), key=attrgetter("target"))
+        found = []
+        for (g, e, r), (coeffs, lines) in terms.items():
+            for a, column in enumerate(zip(*lines)):
+                v = sum(map(mul, coeffs, column))
+                if v:
+                    found.append(
+                        Violation(degree, fam.quadruple, (a, r - a, g, e), v))
+        found.sort(key=attrgetter("target"))
+        violations += found
     psi.release(degree)
     return violations
 

@@ -50,7 +50,9 @@ Structure exploited throughout this module:
   slot borrows, and the width bounds the final slots (see
   ``PsiCalculator.slot_width``).  A series is thus a set of weight lines
   keyed (gamma, delta, R), as are a relation's cross terms, and a
-  family's residuals at one degree are sums of such lines.
+  family's residual at (alpha, R - alpha, gamma, delta) is one sum, over
+  its terms' lines keyed (gamma, delta, R), of slot alpha times the
+  term's coefficient.
 
 All arithmetic is exact integer arithmetic.
 """
@@ -115,6 +117,14 @@ def pascal_rows(n: int) -> tuple[tuple[int, ...], ...]:
     """Rows 0..n-1 of Pascal's triangle, one tuple that ``at`` and
     ``series`` index by n."""
     return tuple(map(pascal_row, range(n)))
+
+
+@lru_cache(maxsize=None)
+def pascal_diagonals(n: int) -> tuple[tuple[int, ...], ...]:
+    """The diagonals of ``pascal_rows(n)``: ``pascal_diagonals(n)[i][j] ==
+    comb(i + j, i)`` for i + j < n, the same ints."""
+    rows = pascal_rows(n)
+    return tuple(tuple(rows[i + j][i] for j in range(n - i)) for i in range(n))
 
 
 @dataclass(frozen=True)
@@ -302,8 +312,9 @@ class PsiCalculator:
     slot alpha of each by comb(R, alpha); ``slot_width`` derives the slot
     width that keeps this exact, which needs every value to be nonnegative.
     A pair's series is its dual pair's with every line reversed (alpha and
-    beta swapped), so each dual orbit is computed once.  Both kernels index
-    one tuple of Pascal rows, ``pascal_rows``.  ``constant`` sums a
+    beta swapped), so each dual orbit is computed once.  Both kernels read
+    the binomials from ``pascal_rows``, ``series`` along its diagonals
+    (``pascal_diagonals``).  ``constant`` sums a
     relation's products with ``at`` and memoizes the sum per (family,
     target, degree), so the dual relation reads it instead of summing its
     own.  All are pure given the tables, and all the products are
@@ -531,7 +542,17 @@ class PsiCalculator:
     def series(self, sigma1: Triple, sigma2: Triple, degree: int) -> Lines:
         """The whole product series at total degree ``degree``, as one
         weight line per output line (gamma, delta, R); every caller passes
-        ``sigma1 <= sigma2``, the order of the memo keys."""
+        ``sigma1 <= sigma2``, the order of the memo keys.
+
+        For each d1, every packed line of the first factor meets every
+        packed line of the second in one integer product, scaled by
+        comb(gamma, gamma1) comb(delta, delta1) comb(R, r1), three reads of
+        ``pascal_diagonals`` at the two lines' entries.  The accumulators
+        are keyed by one integer, (gamma k + delta) k + R with k = 4 degree
+        + 3, the sum of the two lines' codes (each entry of an output key
+        is below k); the second factor's codes are computed once per d1,
+        and a code becomes (gamma, delta, R) again only when its
+        accumulator is unpacked."""
         memo_key = (degree, sigma1, sigma2)
         cached = self._series.get(memo_key)
         if cached is not None:
@@ -543,30 +564,35 @@ class PsiCalculator:
             self._series[memo_key] = out
             return out
         width = self.slot_width(degree)
-        rows = pascal_rows(4 * degree + 3)
+        k = 4 * degree + 3
+        diag = pascal_diagonals(k)
         # One accumulator per output line (gamma, delta, R), whose slot
         # alpha sums to comb(R, alpha) * series(alpha, R - alpha, gamma, delta).
-        acc: dict[tuple[int, int, int], int] = {}
+        acc: dict[int, int] = {}
         get = acc.get
         for d1 in range(1, degree):
             lines1 = self.packed_lines(d1, sigma1, width)
             if not lines1:
                 continue
             lines2 = self.packed_lines(degree - d1, sigma2, width)
+            codes2 = [(g2 * k + e2) * k + r2 for g2, e2, r2, _p in lines2]
             for g1, e1, r1, p1 in lines1:
-                for g2, e2, r2, p2 in lines2:
-                    g, e, r = g1 + g2, e1 + e2, r1 + r2
-                    key = (g, e, r)
-                    acc[key] = get(key, 0) + (
-                        rows[g][g1] * rows[e][e1] * rows[r][r1] * (p1 * p2))
+                code1 = (g1 * k + e1) * k + r1
+                diag_g, diag_e, diag_r = diag[g1], diag[e1], diag[r1]
+                for code2, (g2, e2, r2, p2) in zip(codes2, lines2):
+                    code = code1 + code2
+                    acc[code] = get(code, 0) + (
+                        diag_g[g2] * diag_e[e2] * diag_r[r2] * p1 * p2)
         out = {}
         mask = (1 << width) - 1
-        for key, total in acc.items():
+        rows = pascal_rows(k)
+        for code, total in acc.items():
+            ge, r = divmod(code, k)
             line = []
-            for c in rows[key[2]]:
+            for c in rows[r]:
                 line.append((total & mask) // c)
                 total >>= width
-            out[key] = tuple(line)
+            out[divmod(ge, k) + (r,)] = tuple(line)
         self._series[memo_key] = out
         return out
 

@@ -575,6 +575,32 @@ def test_verify_exhaustive_matches_per_equation_replay(engine4):
     assert exhaustive.equations_checked == count
 
 
+def test_verify_exhaustive_residuals_match_per_equation_replay(engine4):
+    # on a wrong store every residual is named exactly: N(9,0,0,0;2) + 1
+    # and N(13,0,0,0;3) + 2 break relations at degrees 2-4, and the report
+    # holds each nonzero residual of the relations assembled one by one
+    tables = {d: dict(engine4.store.canonical_table(d)) for d in (1, 2, 3, 4)}
+    tables[2][(9, 0, 0, 0)] += 1
+    tables[3][(13, 0, 0, 0)] += 2
+    eng = Engine()
+    eng.store = _store_of(tables)
+    raw = eng.store.raw_tables()
+    replayed = set()
+    count = 0
+    for degree in (1, 2, 3, 4):
+        for eq in eng.generate_equations(degree):
+            residual = eq.residual(raw[degree])
+            if residual:
+                replayed.add((degree, eq.quadruple, eq.target, residual))
+            count += 1
+    report = verify_store(eng.store, 4, exhaustive=True)
+    assert report.equations_checked == count == 6221
+    found = {(v.degree, v.quadruple, v.target, v.residual)
+             for v in report.violations}
+    assert len(found) == len(report.violations) == 974
+    assert found == replayed
+
+
 def test_mutation_is_detected(engine4):
     base = {d: dict(engine4.store.canonical_table(d)) for d in (1, 2, 3)}
     for key in ((13, 0, 0, 0), (7, 4, 1, 0), (3, 2, 1, 2)):
@@ -726,7 +752,7 @@ def inline_pool(monkeypatch):
 
 def test_workers_are_capped_at_the_cpu_count(engine4, inline_pool, monkeypatch):
     # four degrees to check, so the cap of three CPUs is the binding one
-    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    monkeypatch.setattr(engine_module, "_usable_cpus", lambda: 3)
     serial = verify_store(engine4.store, 4, workers=1)
     assert verify_store(engine4.store, 4, workers=1_000_000) == serial
     assert inline_pool.sizes == [3]
@@ -734,7 +760,7 @@ def test_workers_are_capped_at_the_cpu_count(engine4, inline_pool, monkeypatch):
 
 def test_pool_has_at_most_one_process_per_degree(engine4, inline_pool,
                                                  monkeypatch):
-    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(engine_module, "_usable_cpus", lambda: 8)
     serial = verify_store(engine4.store, 3, workers=1)
     assert verify_store(engine4.store, 3, workers=8) == serial
     assert inline_pool.sizes == [3]
@@ -753,15 +779,32 @@ def no_pool(monkeypatch):
 
 def test_one_cpu_starts_no_pool(engine4, no_pool, monkeypatch):
     serial = verify_store(engine4.store, 3, workers=1)
-    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    monkeypatch.setattr(engine_module, "_usable_cpus", lambda: 1)
     assert verify_store(engine4.store, 3, workers=2) == serial
+
+
+def test_pool_counts_only_the_cpus_the_process_may_use(engine4, no_pool,
+                                                       monkeypatch):
+    # two CPUs on the host, one in the process's affinity set (as under
+    # taskset -c 0): one usable CPU, so workers=2 starts no pool
+    serial = verify_store(engine4.store, 3, workers=1)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
+                        raising=False)
+    assert engine_module._usable_cpus() == 1
+    assert verify_store(engine4.store, 3, workers=2) == serial
+    # where the platform has no affinity set, the CPU count
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert engine_module._usable_cpus() == 2
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert engine_module._usable_cpus() == 1
 
 
 @pytest.mark.parametrize("max_degree", [0, 1])
 def test_no_series_starts_no_pool(engine4, no_pool, monkeypatch, max_degree):
     # at most one degree to check, so at most one job
     serial = verify_store(engine4.store, max_degree, workers=1)
-    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    monkeypatch.setattr(engine_module, "_usable_cpus", lambda: 4)
     assert verify_store(engine4.store, max_degree, workers=4) == serial
 
 
@@ -775,7 +818,7 @@ def test_default_check_pools_the_flagged_degrees(engine4, inline_pool,
         if d == 2:
             table[(9, 0, 0, 0)] = 3
         store.commit_degree(d, table)
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(engine_module, "_usable_cpus", lambda: 2)
     serial = verify_store(store, 4, exhaustive=False, workers=1)
     assert Counter(v.degree for v in serial.violations) == {2: 2, 3: 114, 4: 856}
     assert verify_store(store, 4, exhaustive=False, workers=2) == serial
@@ -819,7 +862,7 @@ def test_pool_jobs_are_the_degrees_checked(engine4, inline_pool, monkeypatch):
         return series(self, sigma1, sigma2, degree)
 
     serial = verify_store(engine4.store, 4, workers=1)
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(engine_module, "_usable_cpus", lambda: 2)
     monkeypatch.setattr(PsiCalculator, "series", recording_series)
     assert verify_store(engine4.store, 4, workers=2) == serial
     assert inline_pool.jobs == [4, 3, 2, 1]
@@ -832,7 +875,7 @@ def test_pool_workers_release_each_degree(engine4, inline_pool, monkeypatch):
     # jobs built, only the slot widths survive, beside the weight-line
     # index built with the calculator
     serial = verify_store(engine4.store, 4, workers=1)
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(engine_module, "_usable_cpus", lambda: 2)
     assert verify_store(engine4.store, 4, workers=2) == serial
     assert inline_pool.jobs == [4, 3, 2, 1]
     psi = engine_module._WORKER_PSI
@@ -852,8 +895,11 @@ def _store_of(tables):
 def test_exhaustive_check_heap_stays_small(tables6):
     # each dual orbit's series are held from their first reader to their
     # last, a degree's packed lines until the degree is done, and the cross
-    # terms' slices of the weight lines not at all: about 1.0 MiB here;
-    # storing each (degree, triple)'s slices as well peaked at 2.3 MiB
+    # terms' slices of the weight lines for one family at a time.  Run
+    # alone (Python 3.11.7), the peak was 1.06 MiB when each slice was
+    # added as it was read, and is 1.08 MiB with a family's lines grouped
+    # by key before they are summed; storing each (degree, triple)'s
+    # slices as well peaked at 2.3 MiB
     store = _store_of(tables6)
     tracemalloc.start()
     try:
