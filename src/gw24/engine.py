@@ -26,9 +26,8 @@ import threading
 from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain
 from math import factorial
-from operator import attrgetter, mul
+from operator import attrgetter, itemgetter, mul
 from typing import Iterator, NamedTuple
 
 from .keys import (
@@ -510,9 +509,11 @@ def verify_store(
 def _check_degree_relations(degree: int, psi: PsiCalculator) -> list[Violation]:
     """Every relation of one degree, as residual weight lines: slot a of
     line (gamma, delta, R) is the residual at target (a, R - a, gamma,
-    delta).  Each family groups its terms' lines by key, the cross terms'
+    delta).  Every term of a family streams the lines of the family's
+    weight class in the order of ``lines_of_weight``, the cross terms'
     ``shifted_lines`` slices with coefficient c * degree**n1 and the
-    quantum terms' series lines with coefficient c, and computes each slot
+    quantum terms' series with coefficient c, so the family zips its
+    terms' streams with those lines, strictly, and computes each slot
     once, as the sum of the coefficients times that slot of the lines.
 
     The degree's series are released from ``psi`` as the check goes: each
@@ -531,29 +532,22 @@ def _check_degree_relations(degree: int, psi: PsiCalculator) -> list[Violation]:
         done[i] += (pair, dual_pair(*pair))
     violations = []
     for fam, pairs in zip(families, done):
-        # (coefficients, lines) of the terms of each residual line
-        terms: dict[tuple[int, int, int], tuple[list, list]] = {}
-        # Lazily: a list would hold the last family's series, released or
-        # not, until this family's were all built.
-        for coeff, keyed_lines in chain(
-                ((c * degree**n1, psi.shifted_lines(degree, s))
-                 for c, s, _, n1 in fam.cross),
-                ((c, psi.series(s1, s2, degree).items())
-                 for c, s1, s2 in fam.quantum)):
-            for key, line in keyed_lines:
-                group = terms.get(key)
-                if group is None:
-                    group = terms[key] = ([], [])
-                group[0].append(coeff)
-                group[1].append(line)
-        psi.release(degree, pairs)
+        coeffs = [c * degree**n1 for c, _s, _sh, n1 in fam.cross]
+        coeffs += [c for c, _s1, _s2 in fam.quantum]
         found = []
-        for (g, e, r), (coeffs, lines) in terms.items():
+        # a term stream that ends early or late raises
+        for (g, e, r), *lines in zip(
+                lines_of_weight(fam.target_weight(degree)),
+                *(map(itemgetter(1), psi.shifted_lines(degree, s))
+                  for _c, s, _sh, _n1 in fam.cross),
+                *(psi.series(s1, s2, degree) for _c, s1, s2 in fam.quantum),
+                strict=True):
             for a, column in enumerate(zip(*lines)):
                 v = sum(map(mul, coeffs, column))
                 if v:
                     found.append(
                         Violation(degree, fam.quadruple, (a, r - a, g, e), v))
+        psi.release(degree, pairs)
         found.sort(key=attrgetter("target"))
         violations += found
     psi.release(degree)

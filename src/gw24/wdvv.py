@@ -48,11 +48,13 @@ Structure exploited throughout this module:
   lines, and slot A of the summed products is comb(R, A) times the
   series.  The values must be nonnegative (the store enforces it), so no
   slot borrows, and the width bounds the final slots (see
-  ``PsiCalculator.slot_width``).  A series is thus a set of weight lines
-  keyed (gamma, delta, R), as are a relation's cross terms, and a
-  family's residual at (alpha, R - alpha, gamma, delta) is one sum, over
-  its terms' lines keyed (gamma, delta, R), of slot alpha times the
-  term's coefficient.
+  ``PsiCalculator.slot_width``).  R is fixed by (gamma, delta) within a
+  weight class, so a series is one weight line per (gamma, delta, R) of
+  its class, in the order of ``lines_of_weight``, and so are the slices a
+  relation's cross terms read: every term of a family streams the same
+  lines in the same order, and the family's residual at (alpha, R -
+  alpha, gamma, delta) is one sum, over its terms' lines at that place
+  in the stream, of slot alpha times the term's coefficient.
 
 All arithmetic is exact integer arithmetic.
 """
@@ -81,8 +83,9 @@ DUAL = (0, 1, 3, 2, 4, 5)
 Pair = tuple[int, int]
 Pairing = tuple[Pair, Pair]
 Triple = tuple[int, int, int]
-# Weight lines: (gamma, delta, R) -> the values at (a, R - a, gamma, delta).
-Lines = dict[tuple[int, int, int], tuple[int, ...]]
+# The weight lines (gamma, delta, R) of one weight class, in the order of
+# ``lines_of_weight``: each the values at (a, R - a, gamma, delta).
+Lines = list[tuple[int, ...]]
 
 
 @lru_cache(maxsize=None)
@@ -306,7 +309,8 @@ class PsiCalculator:
     per (sigma1, sigma2, degree) and the binomial windows of the last
     target's (ta, tb), kept in a one-entry slot; ``series`` computes every
     target of a weight class at once (cheap when a family needs them all),
-    in the line form of ``shifted_lines``.  It multiplies the
+    as the lines of ``shifted_lines`` without their keys: every line of
+    the class, in the order of ``lines_of_weight``.  It multiplies the
     ``packed_lines`` of the two factors pairwise, one integer product per
     pair of lines, into one packed accumulator per output line, and divides
     slot alpha of each by comb(R, alpha); ``slot_width`` derives the slot
@@ -541,58 +545,58 @@ class PsiCalculator:
 
     def series(self, sigma1: Triple, sigma2: Triple, degree: int) -> Lines:
         """The whole product series at total degree ``degree``, as one
-        weight line per output line (gamma, delta, R); every caller passes
-        ``sigma1 <= sigma2``, the order of the memo keys.
+        weight line per (gamma, delta, R) of ``lines_of_weight(W)``, in that
+        order and zero lines included, with W = 4 degree + 2 minus the
+        shift weights of the two triples; every caller passes ``sigma1 <=
+        sigma2``, the order of the memo keys.
 
         For each d1, every packed line of the first factor meets every
         packed line of the second in one integer product, scaled by
         comb(gamma, gamma1) comb(delta, delta1) comb(R, r1), three reads of
-        ``pascal_diagonals`` at the two lines' entries.  The accumulators
-        are keyed by one integer, (gamma k + delta) k + R with k = 4 degree
-        + 3, the sum of the two lines' codes (each entry of an output key
-        is below k); the second factor's codes are computed once per d1,
-        and a code becomes (gamma, delta, R) again only when its
-        accumulator is unpacked."""
+        ``pascal_diagonals`` at the two lines' entries.  R is fixed by
+        (gamma, delta), so the accumulators are a list indexed by gamma k +
+        delta with k = 4 degree + 3, the sum of the two lines' codes
+        (gamma and delta stay below k), and each line's code is computed
+        once."""
         memo_key = (degree, sigma1, sigma2)
         cached = self._series.get(memo_key)
         if cached is not None:
             return cached
         dual = dual_pair(sigma1, sigma2)
         if dual < (sigma1, sigma2):
-            rep = self.series(*dual, degree)
-            out = {key: line[::-1] for key, line in rep.items()}
+            out = [line[::-1] for line in self.series(*dual, degree)]
             self._series[memo_key] = out
             return out
         width = self.slot_width(degree)
         k = 4 * degree + 3
         diag = pascal_diagonals(k)
-        # One accumulator per output line (gamma, delta, R), whose slot
-        # alpha sums to comb(R, alpha) * series(alpha, R - alpha, gamma, delta).
-        acc: dict[int, int] = {}
-        get = acc.get
+        # Slot alpha of accumulator gamma k + delta sums to comb(R, alpha)
+        # * series(alpha, R - alpha, gamma, delta).
+        acc = [0] * (k * k)
         for d1 in range(1, degree):
             lines1 = self.packed_lines(d1, sigma1, width)
             if not lines1:
                 continue
             lines2 = self.packed_lines(degree - d1, sigma2, width)
-            codes2 = [(g2 * k + e2) * k + r2 for g2, e2, r2, _p in lines2]
+            codes2 = [g2 * k + e2 for g2, e2, _r2, _p in lines2]
             for g1, e1, r1, p1 in lines1:
-                code1 = (g1 * k + e1) * k + r1
+                code1 = g1 * k + e1
                 diag_g, diag_e, diag_r = diag[g1], diag[e1], diag[r1]
                 for code2, (g2, e2, r2, p2) in zip(codes2, lines2):
-                    code = code1 + code2
-                    acc[code] = get(code, 0) + (
+                    acc[code1 + code2] += (
                         diag_g[g2] * diag_e[e2] * diag_r[r2] * p1 * p2)
-        out = {}
+        out = []
         mask = (1 << width) - 1
         rows = pascal_rows(k)
-        for code, total in acc.items():
-            ge, r = divmod(code, k)
+        # a triple's shift weight is its codimension less 3
+        for g, e, r in lines_of_weight(
+                4 * degree + 8 - sum(CODIM[c] for c in sigma1 + sigma2)):
+            total = acc[g * k + e]
             line = []
             for c in rows[r]:
                 line.append((total & mask) // c)
                 total >>= width
-            out[divmod(ge, k) + (r,)] = tuple(line)
+            out.append(tuple(line))
         self._series[memo_key] = out
         return out
 

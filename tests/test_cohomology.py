@@ -1,3 +1,6 @@
+import pytest
+
+from gw24 import cohomology
 from gw24.cohomology import (
     Basis,
     ClassCombination,
@@ -50,6 +53,14 @@ def test_poincare_dual():
     for c in Basis:
         assert pairing(c, poincare_dual(c)) == 1
         assert codim(c) + codim(poincare_dual(c)) == 4
+
+
+def test_poincare_dual_raises_without_a_dual(monkeypatch):
+    # with A(T0, T1, T3) dropped from the T0 slice, T1 pairs to 0 with
+    # every class, and the guard names it
+    monkeypatch.delitem(cohomology._TRIPLE_NONZERO, (T0, T1, T3))
+    with pytest.raises(AssertionError, match="no dual for"):
+        poincare_dual(T1)
 
 
 def test_cup_examples():

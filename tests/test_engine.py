@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import multiprocessing
 import os
@@ -895,12 +896,18 @@ def _store_of(tables):
 def test_exhaustive_check_heap_stays_small(tables6):
     # each dual orbit's series are held from their first reader to their
     # last, a degree's packed lines until the degree is done, and the cross
-    # terms' slices of the weight lines for one family at a time.  Run
-    # alone (Python 3.11.7), the peak was 1.06 MiB when each slice was
-    # added as it was read, and is 1.08 MiB with a family's lines grouped
-    # by key before they are summed; storing each (degree, triple)'s
-    # slices as well peaked at 2.3 MiB
+    # terms' slices of the weight lines for one family at a time.  An
+    # untraced check first fills the module's lru caches (Pascal rows and
+    # diagonals, triple_info, the families, the key sets), and gc.collect()
+    # empties the interpreter's free lists, whose reused tuples tracemalloc
+    # does not see; so the peak is the same run alone, in this file and in
+    # the whole suite: 1.12 MiB (Python 3.11.7), against 1.30 MiB when
+    # series were dicts keyed by line and each family's lines were grouped
+    # by key before they were summed.  Storing each (degree, triple)'s
+    # slices as well peaked at 2.3 MiB, in an older, unwarmed measurement
     store = _store_of(tables6)
+    verify_store(store, 6, exhaustive=True)
+    gc.collect()
     tracemalloc.start()
     try:
         report = verify_store(store, 6, exhaustive=True)

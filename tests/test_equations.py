@@ -18,13 +18,14 @@ import pytest
 
 from gw24.cohomology import CODIM, Basis, pairing, triple
 from gw24.engine import Engine, MissingValueError, solve_order
-from gw24.keys import tuples_of_weight
+from gw24.keys import lines_of_weight, tuples_of_weight
 from gw24.wdvv import (
     DUAL,
     ORIENTED_PAIRS,
     QUANTUM_CLASSES,
     PsiCalculator,
     _pairing_structure,
+    _resolve_quadruple,
     build_equation,
     dual_pair,
     equation_families,
@@ -57,6 +58,22 @@ def test_family_shapes():
         else:
             assert count == 1
     assert sum(1 for f in fams if len(set(f.classes)) == 4) == 15
+
+
+def test_resolve_quadruple_rejects_incompatible_pairings():
+    # every family's quadruple realizes its two pairings; a pairing
+    # against itself, or against one of other classes, has no ordering
+    def split(x, y, z, w):
+        return tuple(sorted((tuple(sorted((x, y))), tuple(sorted((z, w))))))
+
+    for fam in equation_families():
+        i, j, k, l = fam.quadruple
+        assert split(i, j, k, l) == fam.positive
+        assert split(j, k, i, l) == fam.negative
+    for pos, neg in ((((1, 2), (3, 4)), ((1, 2), (3, 4))),
+                     (((1, 1), (2, 2)), ((3, 3), (4, 4)))):
+        with pytest.raises(AssertionError, match="incompatible pairings"):
+            _resolve_quadruple(pos, neg)
 
 
 def test_unit_free():
@@ -241,7 +258,7 @@ def test_constant_paths_agree():
             if pair in seen:
                 continue
             seen.add(pair)
-            series = as_entries(psi.series(sigma1, sigma2, 3))
+            series = series_entries(psi, sigma1, sigma2, 3)
             for target in tuples_of_weight(w):
                 assert psi.at(sigma1, sigma2, target, 3) == series.get(
                     target, 0
@@ -256,13 +273,28 @@ def test_pascal_tables_match_comb():
 
 
 def as_entries(lines):
-    """A line-keyed series or shifted table as {(a, R - a, gamma, delta):
-    value}, with the zero slots dropped."""
+    """(key, line) pairs of weight lines, keyed (gamma, delta, R), as
+    {(a, R - a, gamma, delta): value}, with the zero slots dropped."""
     return {
         (a, r - a, g, e): v
-        for (g, e, r), line in lines.items()
+        for (g, e, r), line in lines
         for a, v in enumerate(line) if v
     }
+
+
+def shift_weight(sigma):
+    """The weight a quantum third partial over ``sigma`` takes off a key."""
+    sa, sb, sg, se = triple_info(sigma)[0]
+    return sa + sb + 2 * sg + 3 * se
+
+
+def series_entries(psi, sigma1, sigma2, degree):
+    """``psi.series`` as ``as_entries``: its lines are those of its output
+    weight class, one to one and in the order of ``lines_of_weight``."""
+    keys = lines_of_weight(
+        4 * degree + 2 - shift_weight(sigma1) - shift_weight(sigma2))
+    series = psi.series(sigma1, sigma2, degree)
+    return as_entries(zip(keys, series, strict=True))
 
 
 def naive_series(tables, sigma1, sigma2, degree):
@@ -308,7 +340,7 @@ def test_series_matches_naive_convolution():
     # the product is symmetric, so an unsorted pair gives the same series
     swapped = next((d, s2, s1) for d, s1, s2 in jobs if s1 != s2)
     for degree, sigma1, sigma2 in jobs + [swapped]:
-        assert as_entries(psi.series(sigma1, sigma2, degree)) == naive_series(
+        assert series_entries(psi, sigma1, sigma2, degree) == naive_series(
             tables, sigma1, sigma2, degree
         ), (degree, sigma1, sigma2)
 
@@ -351,7 +383,7 @@ def test_series_exact_at_its_slot_width(values):
         for _coeff, s1, s2 in fam.quantum if (s1, s2) <= dual_pair(s1, s2)
     })
     for degree, sigma1, sigma2 in jobs:
-        assert as_entries(psi.series(sigma1, sigma2, degree)) == naive_series(
+        assert series_entries(psi, sigma1, sigma2, degree) == naive_series(
             tables, sigma1, sigma2, degree
         ), (degree, sigma1, sigma2)
 
@@ -562,7 +594,7 @@ def test_shifted_lines_reindex_the_table(tables5):
                 for a in range(len(line))
             ]
             assert len(slots) == len(set(slots)), (degree, sigma)
-            assert as_entries(dict(lines)) == {
+            assert as_entries(lines) == {
                 t: v for t, v in naive.items() if v}, (degree, sigma)
             assert set(slots) == naive.keys(), (degree, sigma)
             nonzero = [(key, line) for key, line in lines if any(line)]
@@ -579,6 +611,35 @@ def test_shifted_lines_reindex_the_table(tables5):
                     comb(r, a) * degree**n1 * v for a, v in enumerate(line)]
     # the test covers slices that hold only zeros
     assert zero_slices
+
+
+def test_terms_stream_their_family_lines_in_lockstep():
+    # the exhaustive check zips a family's terms line by line, so every
+    # cross term's slices are keyed by the family's weight lines, in the
+    # order of lines_of_weight, and every series holds one line of r + 1
+    # slots per weight line, zero lines and degree 1 included
+    eng = Engine()
+    eng.solve_up_to(9)
+    psi = PsiCalculator(eng.store.raw_tables())
+    for degree in range(1, 10):
+        read = set()
+        for fam in equation_families():
+            w = fam.target_weight(degree)
+            if w < 0:
+                continue
+            keys = list(lines_of_weight(w))
+            lengths = [r + 1 for _g, _e, r in keys]
+            for _c, sigma, _sh, _n1 in fam.cross:
+                lines = list(psi.shifted_lines(degree, sigma))
+                assert [key for key, _line in lines] == keys, (degree, sigma)
+                assert [len(line) for _key, line in lines] == lengths
+            for _c, sigma1, sigma2 in fam.quantum:
+                series = psi.series(sigma1, sigma2, degree)
+                assert [len(line) for line in series] == lengths, (
+                    degree, sigma1, sigma2)
+                read |= {(sigma1, sigma2), dual_pair(sigma1, sigma2)}
+        psi.release(degree, read)
+    assert not psi._series
 
 
 def test_at_reads_only_degrees_below_its_own():
