@@ -17,7 +17,6 @@ from .cache import CacheError, load_store, save_store
 from .engine import (
     Engine,
     EngineError,
-    InconsistencyError,
     UnderdeterminedSystemError,
     degrees_failing_at_a_point,
 )
@@ -296,11 +295,8 @@ def main(argv=None) -> int:
     except UnderdeterminedSystemError as exc:
         print(f"underdetermined: {exc}", file=sys.stderr)
         return EXIT_UNDERDETERMINED
-    except (InconsistencyError, CacheError, SeedTableError) as exc:
+    except (EngineError, CacheError, SeedTableError) as exc:
         print(f"inconsistency: {exc}", file=sys.stderr)
-        return EXIT_INCONSISTENT
-    except EngineError as exc:
-        print(f"error: {exc}", file=sys.stderr)
         return EXIT_INCONSISTENT
 
 

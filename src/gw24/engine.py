@@ -145,12 +145,6 @@ class InvariantStore:
             return 0
         return self.raw_table(key.degree)[key[:4]]
 
-    def copy(self) -> "InvariantStore":
-        out = InvariantStore()
-        for d in self.degrees():
-            out.commit_degree(d, self.canonical_table(d))
-        return out
-
 
 @dataclass(frozen=True)
 class Violation:
@@ -197,9 +191,9 @@ def solve_order(degree: int) -> list[tuple[int, int, list[Tuple4]]]:
     by_weight: dict[int, list[tuple[int, list[Tuple4]]]] = {}
     groups = []
     for fam in equation_families():
-        w = fam.target_weight(degree)
-        if w < 0 or not fam.cross:
+        if not fam.cross:
             continue
+        w = fam.target_weight(degree)
         runs = by_weight.get(w)
         if runs is None:
             by_cost: dict[int, list[Tuple4]] = {}
@@ -322,8 +316,6 @@ def solve_values(
                     terms[t] = coeff
             settle(terms, const, (eq.quadruple, target))
             drain()
-            if len(assigned) == len(unknowns):
-                break
 
     missing = unknowns - assigned.keys()
     if missing:
@@ -401,8 +393,6 @@ class Engine:
         """Yield every degree-``degree`` relation, family by family and
         target by target in lexicographic order.  Lower degrees must be
         solved already."""
-        if degree < 1:
-            return iter(())
         if self.store.max_degree < degree - 1:
             missing = self.store.max_degree + 1
             raise MissingValueError(
@@ -607,8 +597,6 @@ def degrees_failing_at_a_point(
     failing = set()
     for degree in range(1, max_degree + 1):
         for fam in equation_families():
-            if fam.target_weight(degree) < 0:
-                continue
             total = sum(c * egf(degree, sigma) for c, sigma, _s, _n1 in fam.cross)
             total += sum(
                 coeff * egf(d1, sigma1) * egf(degree - d1, sigma2)

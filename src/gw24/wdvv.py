@@ -179,23 +179,18 @@ class EquationFamily:
         return "(" + ",".join(LABELS[c] for c in self.quadruple) + ")"
 
 
-def _pairings_of(ms: Tuple4) -> list[Pairing]:
-    out = set()
-    for a, b in (((0, 1), (2, 3)), ((0, 2), (1, 3)), ((0, 3), (1, 2))):
-        p1 = tuple(sorted((ms[a[0]], ms[a[1]])))
-        p2 = tuple(sorted((ms[b[0]], ms[b[1]])))
-        out.add(tuple(sorted((p1, p2))))
-    return sorted(out)
+def _pairing(i: int, j: int, k: int, l: int) -> Pairing:
+    """The pairing {ij|kl}, each pair sorted and the two pairs sorted."""
+    return tuple(sorted((tuple(sorted((i, j))), tuple(sorted((k, l))))))
 
 
 def _resolve_quadruple(pos: Pairing, neg: Pairing) -> Tuple4:
     """An ordering (i,j,k,l) with {i,j},{k,l} = pos and {j,k},{i,l} = neg."""
-    halves = [pos, (pos[1], pos[0])]
-    for first, second in halves:
-        for i, j in (first, first[::-1]):
-            for k, l in (second, second[::-1]):
-                if tuple(sorted((tuple(sorted((j, k))), tuple(sorted((i, l)))))) == neg:
-                    return (i, j, k, l)
+    (i, j), (k, l) = pos
+    # the six other orderings of pos give the same two candidates for neg
+    for k, l in ((k, l), (l, k)):
+        if _pairing(j, k, i, l) == neg:
+            return (i, j, k, l)
     raise AssertionError(f"incompatible pairings {pos} / {neg}")
 
 
@@ -239,7 +234,9 @@ def equation_families() -> tuple[EquationFamily, ...]:
     relations = [
         (ms, pos, neg)
         for ms in combinations_with_replacement(QUANTUM_CLASSES, 4)
-        for pos, neg in combinations(_pairings_of(ms), 2)
+        for pos, neg in combinations(sorted({
+            _pairing(*ms), _pairing(ms[0], ms[2], ms[1], ms[3]),
+            _pairing(ms[0], ms[3], ms[1], ms[2])}), 2)
     ]
     # (index, sign) of each family by its pairings, in either role
     place = {}
@@ -410,8 +407,6 @@ class PsiCalculator:
         call.  comb(tg, gamma1) comb(td, delta1) multiplies a split's sum
         once.  Only degrees below ``degree`` are read, and results are not
         memoized: few targets repeat."""
-        if degree < 2:
-            return 0
         setup = self._setup.get((sigma1, sigma2, degree))
         if setup is None:
             setup = self._pair_setup(sigma1, sigma2, degree)

@@ -179,13 +179,12 @@ def test_criterion_8_determinism_and_persistence(solved, tmp_path):
           "save/load/verify round-trip")
 
 
-def test_propagation_alone_solves_degree_10(solved):
+def test_propagation_alone_solves_degree_10():
     """Degree 10 (reachable with --allow-high-degree) solves by unit
     propagation alone, to the same table a solver with a rational
     elimination fallback produced without ever entering that fallback."""
-    engine, _ = solved
     beyond = Engine()
-    beyond.store = engine.store.copy()
+    beyond.solve_up_to(9)
     table = beyond.solve_degree(10)  # UnderdeterminedSystemError if not
     assert len(table) == 1260
     assert beyond.q_number(10) == 845184128780692726541212424520960

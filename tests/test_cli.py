@@ -7,7 +7,7 @@ import pytest
 from gw24 import __version__, schubert
 from gw24.cache import save_store
 from gw24.cli import main
-from gw24.engine import Engine, InvariantStore
+from gw24.engine import Engine, InvariantStore, MissingValueError
 from gw24.keys import SeedSet
 
 
@@ -265,6 +265,19 @@ def test_underdetermined_system_exits_3(capsys, monkeypatch):
     assert code == 3
     assert out == ""
     assert err.startswith("underdetermined: degree 1: underdetermined system")
+
+
+def test_other_engine_error_is_an_inconsistency(capsys, monkeypatch):
+    # an engine failure other than an underdetermined system, here a
+    # missing lower degree, exits 2 like a violated relation
+    def missing(self, degree):
+        raise MissingValueError("degree 1 has not been solved")
+
+    monkeypatch.setattr(Engine, "solve_up_to", missing)
+    code, out, err = run(capsys, "invariant", "5", "0", "0", "0", "1")
+    assert code == 2
+    assert out == ""
+    assert err == "inconsistency: degree 1 has not been solved\n"
 
 
 def test_verify_reports_violated_relations_and_golden_mismatch(

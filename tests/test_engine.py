@@ -180,9 +180,16 @@ def test_solve_through_degree9_does_fixed_work(monkeypatch):
 
 def test_degree9_solve_heap_stays_small():
     # the relation order is held as shared per-cost target lists and the
-    # window binomials in one slot, so the solve's own heap stays small
+    # window binomials in one slot, so the solve's own heap stays small.
+    # An untraced degree-9 solve, which commits nothing, first fills the
+    # module's lru caches, and gc.collect() empties the free lists, as in
+    # the exhaustive-check heap test below, so the peak is the same run
+    # alone, in this file and in the whole suite: 2.16 MiB (Python 3.11.7).
+    # Unwarmed, it read 1.97 MiB alone and 1.84 MiB in the suite
     eng = Engine()
     eng.solve_up_to(8)
+    solve_values(eng.store.raw_tables(), 9, eng.seed_set)
+    gc.collect()
     tracemalloc.start()
     try:
         eng.solve_degree(9)
@@ -204,14 +211,6 @@ def test_store_commit_discipline():
         store.commit_degree(2, {})
     with pytest.raises(MissingValueError):
         store.canonical_table(1)
-
-
-def test_store_copy_is_deep(engine4):
-    dup = engine4.store.copy()
-    assert dup.degrees() == engine4.store.degrees()[: len(dup.degrees())]
-    for d in dup.degrees():
-        assert dup.canonical_table(d) == engine4.store.canonical_table(d)
-        assert dup.canonical_table(d) is not engine4.store.canonical_table(d)
 
 
 def test_store_returns_copies_of_its_tables():

@@ -7,6 +7,8 @@ quantum third-partials give binomially weighted splittings over lower
 degrees.
 """
 
+import dataclasses
+import hashlib
 import random
 import sys
 import threading
@@ -45,6 +47,15 @@ def test_family_count_regression():
     # one relation per unordered pair of distinct pairings of a unit-free
     # quadruple; regression pin of this generator's own count
     assert len(equation_families()) == 55
+
+
+def test_families_are_pinned():
+    # family order sets the solve order and every report, so no rewrite of
+    # the generator may reorder or alter a family: a pin of all 55, every
+    # field (classes, pairings, quadruple, terms, index and dual)
+    fams = [dataclasses.astuple(f) for f in equation_families()]
+    assert hashlib.sha256(repr(fams).encode()).hexdigest() == (
+        "42184e79128d00153fc7c2ec6e337f0f1e1269585262641e77c87441f38d9d2d")
 
 
 def test_family_shapes():
