@@ -111,16 +111,21 @@ def load_store(path: str, seed_set: SeedSet) -> InvariantStore:
         raise CacheError("content digest mismatch: cache rows were modified")
 
     tables: dict[int, dict] = {}
+    # the current row's degree and its table; a degree's rows come together
+    current, table = 0, {}
     for line in rows:
         try:
             a, b, g, e, degree, value = map(int, line.split())
         except ValueError as exc:
             raise CacheError(f"malformed row: {line!r}") from exc
-        if min(a, b, g, e) < 0 or degree < 1 or value < 0 or a < b:
+        if a < b or b < 0 or g < 0 or e < 0 or degree < 1 or value < 0:
             raise CacheError(f"invalid row: {line!r}")
-        if (a, b, g, e) in tables.setdefault(degree, {}):
+        if degree != current:
+            current, table = degree, tables.setdefault(degree, {})
+        key = (a, b, g, e)
+        if key in table:
             raise CacheError(f"duplicate row: {line!r}")
-        tables[degree][(a, b, g, e)] = value
+        table[key] = value
     if not tables:
         raise CacheError("cache has no rows")
     degrees = sorted(tables)

@@ -14,13 +14,9 @@ import sys
 
 from . import __version__
 from .cache import CacheError, load_store, save_store
-from .engine import (
-    Engine,
-    EngineError,
-    UnderdeterminedSystemError,
-    degrees_failing_at_a_point,
-)
-from .keys import InvariantKey, dimension_valid
+from .engine import Engine, EngineError, UnderdeterminedSystemError
+from .keys import InvariantKey, canonical_keys, dimension_valid
+from .point import degrees_failing_at_a_point
 from .schubert import (
     SeedTableError,
     classical_consistency_failures,
@@ -278,7 +274,7 @@ def cmd_cache_import(args) -> int:
         raise CacheError(
             "cache rows violate the associativity relations at a random "
             f"point at degrees {', '.join(map(str, sorted(failing)))}")
-    rows = sum(len(store.canonical_table(d)) for d in store.degrees())
+    rows = sum(len(canonical_keys(d)[0]) for d in store.degrees())
     print(
         f"cache accepted: degrees 1..{store.max_degree}, {rows} rows"
     )

@@ -21,12 +21,9 @@ first at one random point (``exhaustive=False``, the CLI's default).
 from __future__ import annotations
 
 import os
-import secrets
 import threading
 from collections import deque
 from dataclasses import dataclass
-from functools import lru_cache
-from math import factorial
 from operator import attrgetter, itemgetter, mul
 from typing import Iterator, NamedTuple
 
@@ -38,6 +35,7 @@ from .keys import (
     lines_of_weight,
     tuples_of_weight,
 )
+from .point import degrees_failing_at_a_point
 from .schubert import seed_invariants
 from .wdvv import (
     PsiCalculator,
@@ -48,7 +46,6 @@ from .wdvv import (
     degree_one_failures,
     dual_pair,
     equation_families,
-    triple_info,
 )
 
 
@@ -116,15 +113,16 @@ class InvariantStore:
                 f"{min(expected - keys, default=None)}, first unexpected key "
                 f"{min(keys - expected, default=None)}"
             )
-        for t, v in values.items():
+        raw = {}
+        for t in canonical_keys(degree)[0]:
+            v = values[t]
             if type(v) is not int or v < 0:
                 raise EngineError(
                     f"degree {degree}: value at {t} is not a nonnegative "
                     f"integer: {v!r}"
                 )
-        raw = {}
-        for (a, b, g, e), v in sorted(values.items()):
-            raw[(a, b, g, e)] = v
+            a, b, g, e = t
+            raw[t] = v
             raw[(b, a, g, e)] = v
         self._raw[degree] = raw
 
@@ -543,66 +541,3 @@ def _check_degree_relations(degree: int, psi: PsiCalculator) -> list[Violation]:
     psi.release(degree)
     return violations
 
-
-def _is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin, exact for n < 3.3 * 10**24."""
-    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-    if n < 2 or any(n % q == 0 for q in bases):
-        return n in bases
-    # n - 1 = odd * 2**twos
-    twos = ((n - 1) & (1 - n)).bit_length() - 1
-    odd = (n - 1) >> twos
-    return all(
-        pow(a, odd, n) == 1
-        or any(pow(a, odd << r, n) == n - 1 for r in range(twos))
-        for a in bases
-    )
-
-
-def degrees_failing_at_a_point(
-    tables: dict[int, dict[Tuple4, int]], max_degree: int
-) -> set[int]:
-    """Degrees where some family's relations fail at a random point.
-
-    The relations of one family at degree d are the coefficients of one
-    polynomial: its terms with each factor F(d, sigma) = sum v x^t / t!
-    over the keys k of degree d that dominate the shift, at t = k - shift
-    and v = d**n1 N(k), where (shift, n1) = ``triple_info(sigma)``; the
-    binomials of ``series`` are ratios of these factorials, and F is one
-    dot product per slice of ``PsiCalculator.shifted_lines``.  Modulo a
-    random 61-bit prime p, a family whose residual is nonzero mod p
-    vanishes at a random point with probability at most (4d + 4) / p
-    (Schwartz-Zippel).
-    """
-    p = 0
-    while not _is_prime(p):
-        p = secrets.randbits(60) | (1 << 60) | 1
-    # x**k / k! mod p for each coordinate x; exponents are at most 4d + 1.
-    pa, pb, pg, pe = (
-        [pow(x, k, p) * pow(factorial(k), -1, p) % p
-         for k in range(4 * max_degree + 2)]
-        for x in (secrets.randbelow(p) for _ in range(4))
-    )
-    ab = [[pa[a] * pb[r - a] % p for a in range(r + 1)]
-          for r in range(4 * max_degree + 2)]
-    psi = PsiCalculator(tables)
-
-    @lru_cache(maxsize=None)
-    def egf(degree: int, sigma: Triple) -> int:
-        return degree ** triple_info(sigma)[1] * sum(
-            sum(map(mul, line, ab[r])) * pg[g] * pe[e]
-            for (g, e, r), line in psi.shifted_lines(degree, sigma)
-        ) % p
-
-    failing = set()
-    for degree in range(1, max_degree + 1):
-        for fam in equation_families():
-            total = sum(c * egf(degree, sigma) for c, sigma, _s, _n1 in fam.cross)
-            total += sum(
-                coeff * egf(d1, sigma1) * egf(degree - d1, sigma2)
-                for coeff, sigma1, sigma2 in fam.quantum
-                for d1 in range(1, degree)
-            )
-            if total % p:
-                failing.add(degree)
-    return failing

@@ -297,9 +297,8 @@ class PsiCalculator:
     of degree d as a tuple of values indexed by alpha, with beta =
     4d + 1 - 2 gamma - 3 delta - alpha, None where d has none.  It is a snapshot of the degrees the tables hold then.
     ``shifted_lines`` slices those lines by the targets a quantum third
-    partial feeds, for a relation's cross part at its own degree, for
-    ``series`` and for the random-point check
-    (``engine.degrees_failing_at_a_point``).  Two evaluation modes for the
+    partial feeds, for a relation's cross part at its own degree and for
+    ``series``.  Two evaluation modes for the
     products: ``at`` sums the splittings of a single target as dot
     products over windows of weight lines and Pascal rows (cheap for one
     equation), from ``columns``, a set-up that ``_pair_setup`` builds once

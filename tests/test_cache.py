@@ -130,6 +130,15 @@ def _rewritten(rows, field, form):
     return [*rows[:i], " ".join(fields), *rows[i + 1:]]
 
 
+def _moved_up(rows):
+    """``rows`` with the first degree-2 row moved after the first degree-3
+    row, so that a later row goes back to a lower degree."""
+    i = next(i for i, r in enumerate(rows) if r.split()[4] == "2")
+    rest = [*rows[:i], *rows[i + 1:]]
+    j = next(j for j, r in enumerate(rest) if r.split()[4] == "3")
+    return [*rest[:j + 1], rows[i], *rest[j + 1:]]
+
+
 def _spliced(text, sep):
     """``text`` with its second line end replaced by ``sep``."""
     head, row, rest = text.split("\n", 2)
@@ -192,6 +201,7 @@ def _spliced(text, sep):
     (lambda h, rows: _spliced(_redigested(h, rows), "\n\n"), "malformed row"),
     (lambda h, rows: _redigested(h, [rows[1], rows[0], *rows[2:]]),
      "malformed row"),
+    (lambda h, rows: _redigested(h, _moved_up(rows)), "malformed row"),
     (lambda h, rows: _redigested(h, [rows[0] + " ", *rows[1:]]),
      "malformed row"),
     (lambda h, rows: _redigested(h, [rows[0].replace(" ", "  ", 1),
@@ -205,7 +215,8 @@ def _spliced(text, sep):
         "header-extra-key", "tool-version-int", "header-respaced",
         "no-final-newline", "separator-x1e", "separator-u2028",
         "separator-x85", "separator-x0c", "separator-x0b", "blank-line",
-        "rows-reordered", "row-trailing-space", "row-doubled-space"])
+        "rows-reordered", "row-back-to-lower-degree", "row-trailing-space",
+        "row-doubled-space"])
 def test_every_loader_rejection(tmp_path, engine3, capsys, corrupt, message):
     path = tmp_path / "store.gw24"
     header, rows = _saved(path, engine3)

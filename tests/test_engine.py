@@ -3,6 +3,7 @@ import hashlib
 import multiprocessing
 import os
 import random
+import re
 import threading
 import tracemalloc
 from collections import Counter
@@ -13,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gw24 import engine as engine_module
+from gw24 import point as point_module
 from gw24.engine import (
     Engine,
     InconsistencyError,
@@ -243,15 +245,18 @@ def test_store_rejects_negative_or_fractional():
 
     store = InvariantStore()
     good = {t: 0 for t in canonical_tuples(1)}
+    keys = sorted(good)
     # bool is an int subclass; a True in the store would be saved as the
-    # row value "True", which no loader accepts
-    for value in (-1, True, False):
-        bad = dict(good)
-        bad[(5, 0, 0, 0)] = value
-        with pytest.raises(EngineError, match=(
-                rf"degree 1: value at \(5, 0, 0, 0\) is not a nonnegative "
-                rf"integer: {value}$")):
-            store.commit_degree(1, bad)
+    # row value "True", which no loader accepts.  The bad value is named
+    # wherever it sits in the commit's walk over the sorted keys.
+    for key in (keys[0], keys[len(keys) // 2], (5, 0, 0, 0)):
+        for value in (-1, True, False):
+            bad = dict(good)
+            bad[key] = value
+            with pytest.raises(EngineError, match=(
+                    rf"degree 1: value at {re.escape(str(key))} is not a "
+                    rf"nonnegative integer: {value}$")):
+                store.commit_degree(1, bad)
     assert store.max_degree == 0
 
 
@@ -559,7 +564,7 @@ def test_miller_rabin_matches_sympy():
     numbers += list(range(2000))
     numbers += [rng.getrandbits(61) | 1 for _ in range(300)]
     for n in numbers:
-        assert engine_module._is_prime(n) == isprime(n), n
+        assert point_module._is_prime(n) == isprime(n), n
 
 
 def test_verify_exhaustive_matches_per_equation_replay(engine4):
@@ -831,20 +836,20 @@ def test_default_check_pools_the_flagged_degrees(engine4, inline_pool,
 
 def test_point_check_draws_a_prime_on_every_run(engine4, monkeypatch):
     draws = []
-    randbits = engine_module.secrets.randbits
+    randbits = point_module.secrets.randbits
 
     def recording_randbits(k):
         draws.append(randbits(k))
         return draws[-1]
 
-    monkeypatch.setattr(engine_module.secrets, "randbits", recording_randbits)
+    monkeypatch.setattr(point_module.secrets, "randbits", recording_randbits)
     primes = []
     for _run in range(2):
         draws.clear()
         assert verify_store(engine4.store, 3, exhaustive=False).ok
         # a run draws until its first prime
         candidates = (x | (1 << 60) | 1 for x in draws)
-        (prime,) = [p for p in candidates if engine_module._is_prime(p)]
+        (prime,) = [p for p in candidates if point_module._is_prime(p)]
         primes.append(prime)
     # two draws of a 61-bit prime coincide with negligible probability
     assert primes[0] != primes[1]
