@@ -17,7 +17,7 @@ from pathlib import Path
 
 from gw24 import Engine, __version__
 from gw24.cache import CacheError, load_store, save_store
-from gw24.engine import verify_store
+from gw24.verify import verify_store
 
 with tempfile.TemporaryDirectory(prefix="gw24-demo-") as tmp:
     workdir = Path(tmp)

@@ -20,9 +20,6 @@ from .engine import (
     MissingValueError,
     RuledSurfaceDegree,
     UnderdeterminedSystemError,
-    Violation,
-    WdvvReport,
-    verify_store,
 )
 from .keys import (
     InvariantKey,
@@ -39,6 +36,7 @@ from .schubert import (
     seed_invariants,
 )
 from .table import GOLDEN_Q, DegreeTableRow, build_rows
+from .verify import Violation, WdvvReport, verify_store
 from .wdvv import WdvvEquation, equation_families
 
 __version__ = "0.1.0"

@@ -16,13 +16,13 @@ from . import __version__
 from .cache import CacheError, load_store, save_store
 from .engine import Engine, EngineError, UnderdeterminedSystemError
 from .keys import InvariantKey, canonical_keys, dimension_valid
-from .point import degrees_failing_at_a_point
 from .schubert import (
     SeedTableError,
     classical_consistency_failures,
     seed_invariants,
 )
 from .table import GOLDEN_MAX_DEGREE, GOLDEN_Q, RENDERERS, build_rows
+from .verify import degrees_failing_at_a_point
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -285,7 +285,7 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return args.func(args)
-    except (UsageError, ValueError) as exc:
+    except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except UnderdeterminedSystemError as exc:

@@ -105,9 +105,6 @@ class ClassCombination:
     def coefficient(self, c: Basis) -> int:
         return self.coeffs.get(c, 0)
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
     def __add__(self, other: "ClassCombination") -> "ClassCombination":
         out = dict(self.coeffs)
         for c, v in other.coeffs.items():

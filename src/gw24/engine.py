@@ -8,23 +8,15 @@ c * N + k = 0 must force a nonnegative integer N, or the relation that
 forced it is reported as violated.  The system is heavily over-determined,
 and propagation alone has pinned every value of every degree measured
 (d <= 20); there is no elimination fallback, so keys it leaves open are
-reported as an underdetermined system.  Solved values are committed once
-and never change.
-
-Equation generation and ``solve_values`` are pure given a read-only
-snapshot of the lower degrees, so verification work can be split across
-processes; commits happen on a single writer at each degree boundary.
-The verifier checks every relation: relation by relation by default, or
-first at one random point (``exhaustive=False``, the CLI's default).
+reported as an underdetermined system.  Solved values are committed once,
+by a single writer at each degree boundary, and never change; ``verify``
+checks a stored table against every relation.
 """
 
 from __future__ import annotations
 
-import os
 import threading
 from collections import deque
-from dataclasses import dataclass
-from operator import attrgetter, itemgetter, mul
 from typing import Iterator, NamedTuple
 
 from .keys import (
@@ -32,19 +24,16 @@ from .keys import (
     SeedSet,
     canonical_keys,
     dimension_valid,
-    lines_of_weight,
     tuples_of_weight,
 )
-from .point import degrees_failing_at_a_point
 from .schubert import seed_invariants
+from .verify import WdvvReport, verify_store
 from .wdvv import (
     PsiCalculator,
-    Triple,
     Tuple4,
     WdvvEquation,
     build_equation,
     degree_one_failures,
-    dual_pair,
     equation_families,
 )
 
@@ -142,25 +131,6 @@ class InvariantStore:
         if not dimension_valid(key):
             return 0
         return self.raw_table(key.degree)[key[:4]]
-
-
-@dataclass(frozen=True)
-class Violation:
-    degree: int
-    quadruple: Tuple4
-    target: Tuple4
-    residual: int
-
-
-@dataclass(frozen=True)
-class WdvvReport:
-    max_degree: int
-    equations_checked: int
-    violations: tuple[Violation, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
 
 
 class RuledSurfaceDegree(NamedTuple):
@@ -411,133 +381,4 @@ class Engine:
         return verify_store(
             self.store, max_degree, exhaustive=exhaustive, workers=workers
         )
-
-
-_WORKER_PSI: PsiCalculator | None = None
-
-
-def _worker_init(tables):
-    global _WORKER_PSI
-    _WORKER_PSI = PsiCalculator(tables)
-
-
-def _worker_check(degree: int):
-    return degree, _check_degree_relations(degree, _WORKER_PSI)
-
-
-def _usable_cpus() -> int:
-    """The CPUs this process may run on: its affinity set where the
-    platform has one (``os.cpu_count`` ignores affinity), else the count."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _check_degrees(
-    tables: dict[int, dict[Tuple4, int]], degrees, workers: int
-) -> list[Violation]:
-    """The violations of ``degrees``, checked relation by relation, in
-    ascending degree order.
-
-    The one pool rule of ``verify``: at most ``workers`` processes, one per
-    CPU it may use (``_usable_cpus``) and one per degree, and no pool if
-    that leaves one.  A job is one degree, handed out largest first; the
-    pool's report is the serial one.  The serial loop and each worker keep
-    one calculator across degrees, and ``_check_degree_relations`` releases
-    each degree's series from it, so only one degree's are held at a time.
-    """
-    workers = min(workers, _usable_cpus(), len(degrees))
-    if workers < 2:
-        psi = PsiCalculator(tables)
-        return [v for d in degrees for v in _check_degree_relations(d, psi)]
-    import multiprocessing as mp
-    with mp.get_context().Pool(workers, initializer=_worker_init,
-                               initargs=(tables,)) as pool:
-        found = dict(pool.imap_unordered(_worker_check,
-                                         sorted(degrees, reverse=True)))
-    return [v for d in sorted(found) for v in found[d]]
-
-
-def verify_store(
-    store: InvariantStore,
-    max_degree: int,
-    exhaustive: bool = True,
-    workers: int = 1,
-) -> WdvvReport:
-    """Check every relation of every degree <= max_degree against the
-    stored values, with constants re-convolved from the stored lower
-    degrees so that a perturbed store cannot satisfy them.
-
-    With ``exhaustive`` every degree is checked relation by relation.
-    Otherwise only the degrees that ``degrees_failing_at_a_point`` flags
-    are, which gives the same report unless that check misses (see there).
-    ``workers`` > 1 spreads the degrees checked relation by relation over
-    processes, under the rule of ``_check_degrees``; results are identical
-    to the serial run.
-    """
-    if store.max_degree < max_degree:
-        raise MissingValueError(
-            f"verify needs degrees up to {max_degree} solved, "
-            f"have {store.max_degree}"
-        )
-    # One relation per family and target of its weight class.
-    checked = sum(r + 1 for degree in range(1, max_degree + 1)
-                  for fam in equation_families()
-                  for _g, _e, r in lines_of_weight(fam.target_weight(degree)))
-    tables = store.raw_tables()
-    degrees = (range(1, max_degree + 1) if exhaustive
-               else sorted(degrees_failing_at_a_point(tables, max_degree)))
-    return WdvvReport(
-        max_degree=max_degree,
-        equations_checked=checked,
-        violations=tuple(_check_degrees(tables, degrees, workers)),
-    )
-
-
-def _check_degree_relations(degree: int, psi: PsiCalculator) -> list[Violation]:
-    """Every relation of one degree, as residual weight lines: slot a of
-    line (gamma, delta, R) is the residual at target (a, R - a, gamma,
-    delta).  Every term of a family streams the lines of the family's
-    weight class in the order of ``lines_of_weight``, the cross terms'
-    ``shifted_lines`` slices with coefficient c * degree**n1 and the
-    quantum terms' series with coefficient c, so the family zips its
-    terms' streams with those lines, strictly, and computes each slot
-    once, as the sum of the coefficients times that slot of the lines.
-
-    The degree's series are released from ``psi`` as the check goes: each
-    dual orbit's after the last family that reads the pair or its mirror,
-    and the packed lines at the end, as no other degree reads them.  The
-    weight lines stay for the degrees above.
-    """
-    families = [fam for fam in equation_families()
-                if fam.target_weight(degree) >= 0]
-    # The family after which each dual orbit of pairs is read no more, and
-    # the orbits (both pairs of each) that each family is the last to read.
-    last = {min((s1, s2), dual_pair(s1, s2)): i
-            for i, fam in enumerate(families) for _c, s1, s2 in fam.quantum}
-    done: list[list[tuple[Triple, Triple]]] = [[] for _ in families]
-    for pair, i in last.items():
-        done[i] += (pair, dual_pair(*pair))
-    violations = []
-    for fam, pairs in zip(families, done):
-        coeffs = [c * degree**n1 for c, _s, _sh, n1 in fam.cross]
-        coeffs += [c for c, _s1, _s2 in fam.quantum]
-        found = []
-        # a term stream that ends early or late raises
-        for (g, e, r), *lines in zip(
-                lines_of_weight(fam.target_weight(degree)),
-                *(map(itemgetter(1), psi.shifted_lines(degree, s))
-                  for _c, s, _sh, _n1 in fam.cross),
-                *(psi.series(s1, s2, degree) for _c, s1, s2 in fam.quantum),
-                strict=True):
-            for a, column in enumerate(zip(*lines)):
-                v = sum(map(mul, coeffs, column))
-                if v:
-                    found.append(
-                        Violation(degree, fam.quadruple, (a, r - a, g, e), v))
-        psi.release(degree, pairs)
-        found.sort(key=attrgetter("target"))
-        violations += found
-    psi.release(degree)
-    return violations
 

@@ -17,15 +17,11 @@ import sympy as sp
 from gw24 import __version__
 from gw24.cache import load_store, save_store
 from gw24.cohomology import Basis, triple
-from gw24.engine import (
-    Engine,
-    InvariantStore,
-    degrees_failing_at_a_point,
-    verify_store,
-)
+from gw24.engine import Engine, InvariantStore
 from gw24.keys import InvariantKey, valid_tuples
 from gw24.schubert import PARTITION_OF_CLASS, classical_triple_oracle
 from gw24.table import GOLDEN_Q
+from gw24.verify import degrees_failing_at_a_point, verify_store
 
 SOLVE_BUDGET_SECONDS = 300
 

@@ -1,6 +1,10 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -9,6 +13,8 @@ from gw24.cache import save_store
 from gw24.cli import main
 from gw24.engine import Engine, InvariantStore, MissingValueError
 from gw24.keys import SeedSet
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 @pytest.fixture(scope="module")
@@ -278,6 +284,31 @@ def test_other_engine_error_is_an_inconsistency(capsys, monkeypatch):
     assert code == 2
     assert out == ""
     assert err == "inconsistency: degree 1 has not been solved\n"
+
+
+def test_internal_value_error_is_not_a_usage_error(capsys, monkeypatch):
+    # every ValueError that user input can cause is raised as a UsageError
+    # before the engine runs, so any other is a fault, not the user's
+    def broken(self, degree):
+        raise ValueError("zip() argument 2 is shorter than argument 1")
+
+    monkeypatch.setattr(Engine, "solve_up_to", broken)
+    with pytest.raises(ValueError, match="zip"):
+        main(["invariant", "5", "0", "0", "0", "1"])
+    assert capsys.readouterr().err == ""
+
+
+def test_cli_import_leaves_multiprocessing_unloaded():
+    # only a pool imports it: multiprocessing.pool adds 1.6 MiB of peak
+    # RSS (20.0 -> 21.6 MiB after gw24.cli, Python 3.11.7)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, (str(ROOT / "src"), env.get("PYTHONPATH"))))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, gw24.cli; "
+         "sys.exit('multiprocessing' in sys.modules)"],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_verify_reports_violated_relations_and_golden_mismatch(

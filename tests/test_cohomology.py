@@ -80,7 +80,7 @@ def test_cup_truncates_above_top_codimension():
         for j in Basis:
             product = cup(i, j)
             if codim(i) + codim(j) > 4:
-                assert product.is_zero()
+                assert product == ClassCombination.zero()
             for f, v in product.coeffs.items():
                 assert v != 0
                 assert codim(f) == codim(i) + codim(j)

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gw24 import engine as engine_module
-from gw24 import point as point_module
+from gw24 import verify as verify_module
 from gw24.engine import (
     Engine,
     InconsistencyError,
@@ -23,7 +23,6 @@ from gw24.engine import (
     UnderdeterminedSystemError,
     solve_order,
     solve_values,
-    verify_store,
 )
 from gw24.keys import (
     InvariantKey,
@@ -33,6 +32,7 @@ from gw24.keys import (
     valid_tuples,
 )
 from gw24.schubert import seed_invariants
+from gw24.verify import verify_store
 from gw24.wdvv import (
     DUAL,
     PsiCalculator,
@@ -564,7 +564,7 @@ def test_miller_rabin_matches_sympy():
     numbers += list(range(2000))
     numbers += [rng.getrandbits(61) | 1 for _ in range(300)]
     for n in numbers:
-        assert point_module._is_prime(n) == isprime(n), n
+        assert verify_module._is_prime(n) == isprime(n), n
 
 
 def test_verify_exhaustive_matches_per_equation_replay(engine4):
@@ -700,8 +700,43 @@ def test_failing_report_is_ordered_by_degree_family_and_target(engine4):
 def test_verify_requires_solved_degrees():
     eng = Engine()
     eng.solve_up_to(1)
-    with pytest.raises(MissingValueError):
+    with pytest.raises(MissingValueError, match="degree 2 has not been solved"):
         verify_store(eng.store, 2)
+
+
+def test_engine_verifies_through_its_verify_store(engine4, monkeypatch):
+    # the benchmark's tracer wraps verify_store in engine's namespace, so
+    # Engine.verify_wdvv must look it up there
+    assert engine_module.verify_store is verify_module.verify_store
+    calls = []
+
+    def recording(store, max_degree, **kwargs):
+        calls.append(max_degree)
+        return verify_module.verify_store(store, max_degree, **kwargs)
+
+    monkeypatch.setattr(engine_module, "verify_store", recording)
+    assert engine4.verify_wdvv(2).ok
+    assert calls == [2]
+
+
+def test_verify_builds_a_calculator_only_to_check_relation_by_relation(
+        engine4, tables5, monkeypatch):
+    built = []
+
+    class CountingCalculator(PsiCalculator):
+        def __init__(self, tables):
+            super().__init__(tables)
+            built.append(self)
+
+    monkeypatch.setattr(verify_module, "PsiCalculator", CountingCalculator)
+    # a correct table: the point check flags no degree
+    assert verify_store(engine4.store, 4, exhaustive=False).ok
+    assert built == []
+    # the checks read only the degrees asked for
+    assert verify_store(_store_of(tables5), 3, exhaustive=True).ok
+    (psi,) = built
+    assert sorted(psi.tables) == [1, 2, 3]
+    assert [d for d, line in enumerate(psi.columns[0][0]) if line] == [1, 2, 3]
 
 
 def test_workers_verify_matches_serial(engine4):
@@ -710,17 +745,22 @@ def test_workers_verify_matches_serial(engine4):
     assert serial == parallel
 
 
-def test_workers_verify_matches_serial_under_spawn(engine4, monkeypatch):
-    # a platform without fork, whose default start method is spawn:
-    # workers re-import gw24 and receive the tables by pickling
-    spawn = multiprocessing.get_context("spawn")
+@pytest.mark.parametrize("start_method", ["spawn", "forkserver"])
+def test_workers_verify_matches_serial_without_fork(engine4, monkeypatch,
+                                                    start_method):
+    # a default start method other than fork (spawn on Windows and macOS,
+    # forkserver on Linux from Python 3.14): workers import the worker
+    # functions by name and receive the tables by pickling
+    context = multiprocessing.get_context(start_method)
 
     def get_context(method=None):
-        if method not in (None, "spawn"):
+        if method not in (None, start_method):
             raise ValueError(f"cannot find context for {method!r}")
-        return spawn
+        return context
 
     monkeypatch.setattr(multiprocessing, "get_context", get_context)
+    # a pool of two, however many CPUs the host has
+    monkeypatch.setattr(verify_module, "_usable_cpus", lambda: 2)
     serial = verify_store(engine4.store, 3, workers=1)
     assert verify_store(engine4.store, 3, workers=2) == serial
 
@@ -751,13 +791,13 @@ def inline_pool(monkeypatch):
 
     monkeypatch.setattr(multiprocessing, "get_context",
                         lambda method=None: InlineContext())
-    monkeypatch.setattr(engine_module, "_WORKER_PSI", None)
+    monkeypatch.setattr(verify_module, "_WORKER_PSI", None)
     return record
 
 
 def test_workers_are_capped_at_the_cpu_count(engine4, inline_pool, monkeypatch):
     # four degrees to check, so the cap of three CPUs is the binding one
-    monkeypatch.setattr(engine_module, "_usable_cpus", lambda: 3)
+    monkeypatch.setattr(verify_module, "_usable_cpus", lambda: 3)
     serial = verify_store(engine4.store, 4, workers=1)
     assert verify_store(engine4.store, 4, workers=1_000_000) == serial
     assert inline_pool.sizes == [3]
@@ -765,7 +805,7 @@ def test_workers_are_capped_at_the_cpu_count(engine4, inline_pool, monkeypatch):
 
 def test_pool_has_at_most_one_process_per_degree(engine4, inline_pool,
                                                  monkeypatch):
-    monkeypatch.setattr(engine_module, "_usable_cpus", lambda: 8)
+    monkeypatch.setattr(verify_module, "_usable_cpus", lambda: 8)
     serial = verify_store(engine4.store, 3, workers=1)
     assert verify_store(engine4.store, 3, workers=8) == serial
     assert inline_pool.sizes == [3]
@@ -784,7 +824,7 @@ def no_pool(monkeypatch):
 
 def test_one_cpu_starts_no_pool(engine4, no_pool, monkeypatch):
     serial = verify_store(engine4.store, 3, workers=1)
-    monkeypatch.setattr(engine_module, "_usable_cpus", lambda: 1)
+    monkeypatch.setattr(verify_module, "_usable_cpus", lambda: 1)
     assert verify_store(engine4.store, 3, workers=2) == serial
 
 
@@ -796,20 +836,20 @@ def test_pool_counts_only_the_cpus_the_process_may_use(engine4, no_pool,
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
                         raising=False)
-    assert engine_module._usable_cpus() == 1
+    assert verify_module._usable_cpus() == 1
     assert verify_store(engine4.store, 3, workers=2) == serial
     # where the platform has no affinity set, the CPU count
     monkeypatch.delattr(os, "sched_getaffinity")
-    assert engine_module._usable_cpus() == 2
+    assert verify_module._usable_cpus() == 2
     monkeypatch.setattr(os, "cpu_count", lambda: None)
-    assert engine_module._usable_cpus() == 1
+    assert verify_module._usable_cpus() == 1
 
 
 @pytest.mark.parametrize("max_degree", [0, 1])
 def test_no_series_starts_no_pool(engine4, no_pool, monkeypatch, max_degree):
     # at most one degree to check, so at most one job
     serial = verify_store(engine4.store, max_degree, workers=1)
-    monkeypatch.setattr(engine_module, "_usable_cpus", lambda: 4)
+    monkeypatch.setattr(verify_module, "_usable_cpus", lambda: 4)
     assert verify_store(engine4.store, max_degree, workers=4) == serial
 
 
@@ -823,7 +863,7 @@ def test_default_check_pools_the_flagged_degrees(engine4, inline_pool,
         if d == 2:
             table[(9, 0, 0, 0)] = 3
         store.commit_degree(d, table)
-    monkeypatch.setattr(engine_module, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(verify_module, "_usable_cpus", lambda: 2)
     serial = verify_store(store, 4, exhaustive=False, workers=1)
     assert Counter(v.degree for v in serial.violations) == {2: 2, 3: 114, 4: 856}
     assert verify_store(store, 4, exhaustive=False, workers=2) == serial
@@ -836,20 +876,20 @@ def test_default_check_pools_the_flagged_degrees(engine4, inline_pool,
 
 def test_point_check_draws_a_prime_on_every_run(engine4, monkeypatch):
     draws = []
-    randbits = point_module.secrets.randbits
+    randbits = verify_module.secrets.randbits
 
     def recording_randbits(k):
         draws.append(randbits(k))
         return draws[-1]
 
-    monkeypatch.setattr(point_module.secrets, "randbits", recording_randbits)
+    monkeypatch.setattr(verify_module.secrets, "randbits", recording_randbits)
     primes = []
     for _run in range(2):
         draws.clear()
         assert verify_store(engine4.store, 3, exhaustive=False).ok
         # a run draws until its first prime
         candidates = (x | (1 << 60) | 1 for x in draws)
-        (prime,) = [p for p in candidates if point_module._is_prime(p)]
+        (prime,) = [p for p in candidates if verify_module._is_prime(p)]
         primes.append(prime)
     # two draws of a 61-bit prime coincide with negligible probability
     assert primes[0] != primes[1]
@@ -862,12 +902,12 @@ def test_pool_jobs_are_the_degrees_checked(engine4, inline_pool, monkeypatch):
     series = PsiCalculator.series
 
     def recording_series(self, sigma1, sigma2, degree):
-        if self is not engine_module._WORKER_PSI:
+        if self is not verify_module._WORKER_PSI:
             outside.append((degree, sigma1, sigma2))
         return series(self, sigma1, sigma2, degree)
 
     serial = verify_store(engine4.store, 4, workers=1)
-    monkeypatch.setattr(engine_module, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(verify_module, "_usable_cpus", lambda: 2)
     monkeypatch.setattr(PsiCalculator, "series", recording_series)
     assert verify_store(engine4.store, 4, workers=2) == serial
     assert inline_pool.jobs == [4, 3, 2, 1]
@@ -880,10 +920,10 @@ def test_pool_workers_release_each_degree(engine4, inline_pool, monkeypatch):
     # jobs built, only the slot widths survive, beside the weight-line
     # index built with the calculator
     serial = verify_store(engine4.store, 4, workers=1)
-    monkeypatch.setattr(engine_module, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(verify_module, "_usable_cpus", lambda: 2)
     assert verify_store(engine4.store, 4, workers=2) == serial
     assert inline_pool.jobs == [4, 3, 2, 1]
-    psi = engine_module._WORKER_PSI
+    psi = verify_module._WORKER_PSI
     held = {name for name, memo in vars(psi).items()
             if isinstance(memo, dict) and memo and name != "tables"}
     assert held == {"_widths"}

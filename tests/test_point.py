@@ -4,7 +4,7 @@ from math import factorial
 import pytest
 
 from gw24.engine import Engine
-from gw24.point import _is_prime, point_factors
+from gw24.verify import _is_prime, point_factors
 from gw24.wdvv import equation_families, triple_info
 
 
