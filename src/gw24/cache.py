@@ -12,11 +12,15 @@ from different seeds is rejected, never silently reused) and carries a
 digest of the row block, so a tampered row is rejected deterministically.
 ``_render`` is the one definition of the file: a cache loads only if it is
 the text ``save_store`` would write for its rows, with any ``tool_version``
-string (reading in text mode turns CRLF line ends into LF).  On load a
-seeded random sample of rows is additionally re-verified against freshly
+string (reading in text mode turns CRLF line ends into LF).  By default
+a load also re-verifies a seeded random sample of rows against freshly
 assembled relations, which catches only some well-formed files with wrong
-values (``cache import`` and ``verify`` check every relation).  Writes are
-atomic: temp file in the target directory, then rename.
+values; it is the only value check of the loads of ``table``,
+``invariant`` and ``cache export``.  ``cache import`` and ``verify`` load
+with ``sample=False``, since the check each runs next covers every
+relation: the random-point check, or ``verify --exhaustive``'s relation by
+relation check.  Writes are atomic: temp file in the target directory,
+then rename.
 """
 
 from __future__ import annotations
@@ -84,7 +88,11 @@ def save_store(store: InvariantStore, path: str, seed_set: SeedSet,
         raise
 
 
-def load_store(path: str, seed_set: SeedSet) -> InvariantStore:
+def load_store(path: str, seed_set: SeedSet, *,
+               sample: bool = True) -> InvariantStore:
+    """The store of the cache file at ``path``; ``CacheError`` if the file
+    is not the text ``save_store`` writes for ``seed_set``, or, with
+    ``sample``, if a sampled row fails ``_verify_sample``."""
     with open(path, "r", encoding="utf-8") as handle:
         try:
             raw = handle.read()
@@ -160,7 +168,8 @@ def load_store(path: str, seed_set: SeedSet) -> InvariantStore:
         raise CacheError(f"malformed {'row' if i else 'header'}: {got!r} "
                          f"where the writer writes {want!r}")
 
-    _verify_sample(store)
+    if sample:
+        _verify_sample(store)
     return store
 
 

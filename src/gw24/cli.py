@@ -113,9 +113,9 @@ def _check_degree_gate(args) -> None:
         )
 
 
-def _load_cache(cache_path: str, seed_set):
+def _load_cache(cache_path: str, seed_set, sample: bool = True):
     try:
-        return load_store(cache_path, seed_set)
+        return load_store(cache_path, seed_set, sample=sample)
     except OSError as exc:
         raise UsageError(f"cannot read cache file: {exc}") from exc
 
@@ -127,11 +127,12 @@ def _save_cache(engine: Engine, cache_path: str) -> None:
         raise UsageError(f"cannot write cache file: {exc}") from exc
 
 
-def _engine_with_cache(cache_path: str | None) -> tuple[Engine, int]:
+def _engine_with_cache(cache_path: str | None,
+                       sample: bool = True) -> tuple[Engine, int]:
     engine = Engine()
     loaded = 0
     if cache_path and os.path.exists(cache_path):
-        engine.store = _load_cache(cache_path, engine.seed_set)
+        engine.store = _load_cache(cache_path, engine.seed_set, sample)
         loaded = engine.store.max_degree
     return engine, loaded
 
@@ -222,8 +223,9 @@ def cmd_verify(args) -> int:
         _record("classical-ring-vs-oracle", classical_consistency_failures())
     ]
     try:
-        # Building the engine runs the seed cross-checks.
-        engine, loaded = _engine_with_cache(args.cache_path)
+        # Building the engine runs the seed cross-checks.  The load skips
+        # the row sample: the wdvv-relations check covers every relation.
+        engine, loaded = _engine_with_cache(args.cache_path, sample=False)
     except SeedTableError as exc:
         records.append(_record("seed-cross-checks", [str(exc)]))
         # The remaining checks run on an engine built from the seeds.
@@ -267,8 +269,9 @@ def cmd_cache_export(args) -> int:
 
 
 def cmd_cache_import(args) -> int:
-    store = _load_cache(args.cache_path, seed_invariants())
-    # The load re-derives only a sample of rows; check every relation.
+    # The random-point check below covers every relation, so the load
+    # skips its row sample.
+    store = _load_cache(args.cache_path, seed_invariants(), sample=False)
     failing = degrees_failing_at_a_point(store.raw_tables(), store.max_degree)
     if failing:
         raise CacheError(

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 Tuple4 = tuple[int, int, int, int]
 
@@ -52,12 +52,14 @@ def valid_tuples(degree: int) -> list[Tuple4]:
     return tuples_of_weight(4 * degree + 1)
 
 
-def lines_of_weight(w: int) -> Iterator[tuple[int, int, int]]:
+@lru_cache(maxsize=None)
+def lines_of_weight(w: int) -> tuple[tuple[int, int, int], ...]:
     """Every (gamma, delta, r) >= 0 with 2gamma + 3delta + r = w, by delta,
-    then gamma: the line of keys (alpha, r - alpha, gamma, delta) of weight w."""
-    for delta in range(w // 3 + 1):
-        for gamma in range((w - 3 * delta) // 2 + 1):
-            yield gamma, delta, w - 2 * gamma - 3 * delta
+    then gamma: the line of keys (alpha, r - alpha, gamma, delta) of weight w.
+    One tuple per weight, built on the first call and shared after it."""
+    return tuple((gamma, delta, w - 2 * gamma - 3 * delta)
+                 for delta in range(w // 3 + 1)
+                 for gamma in range((w - 3 * delta) // 2 + 1))
 
 
 def tuples_of_weight(w: int) -> list[Tuple4]:

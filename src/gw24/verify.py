@@ -207,10 +207,13 @@ def _check_degrees(
     The one pool rule of ``verify``: at most ``workers`` processes, one per
     CPU it may use (``_usable_cpus``) and one per degree, and no pool if
     that leaves one.  A job is one degree, handed out largest first; the
-    pool's report is the serial one.  The serial loop and each worker keep
-    one calculator across degrees, and ``_check_degree_relations`` releases
-    each degree's series from it, so only one degree's are held at a time.
-    No degree to check builds no calculator.
+    pool's report is the serial one.  A worker that fails, in its
+    initializer too, breaks the pool, and the check raises
+    ``BrokenProcessPool`` (a ``multiprocessing.Pool`` would replace such
+    workers forever).  The serial loop and each worker keep one calculator
+    across degrees, and ``_check_degree_relations`` releases each degree's
+    series from it, so only one degree's are held at a time.  No degree to
+    check builds no calculator.
     """
     if not degrees:
         return []
@@ -219,10 +222,11 @@ def _check_degrees(
         psi = PsiCalculator(tables)
         return [v for d in degrees for v in _check_degree_relations(d, psi)]
     import multiprocessing as mp
-    with mp.get_context().Pool(workers, initializer=_worker_init,
-                               initargs=(tables,)) as pool:
-        found = dict(pool.imap_unordered(_worker_check,
-                                         sorted(degrees, reverse=True)))
+    from concurrent.futures import ProcessPoolExecutor
+    with ProcessPoolExecutor(workers, mp_context=mp.get_context(),
+                             initializer=_worker_init,
+                             initargs=(tables,)) as pool:
+        found = dict(pool.map(_worker_check, sorted(degrees, reverse=True)))
     return [v for d in sorted(found) for v in found[d]]
 
 

@@ -101,6 +101,7 @@ def triple_info(sigma: Triple):
     return shift, sigma.count(1), 0 not in sigma
 
 
+@lru_cache(maxsize=None)
 def dual_pair(sigma1: Triple, sigma2: Triple) -> tuple[Triple, Triple]:
     """The sorted pair of the dual triples of ``sigma1`` and ``sigma2``;
     of a pairing's two index pairs, the dual pairing."""
@@ -480,30 +481,40 @@ class PsiCalculator:
 
     def slot_width(self, degree: int) -> int:
         """Bits per slot of the packed lines that ``series`` multiplies at
-        total degree ``degree``: S = bits(W comb(4 degree + 2, 2 degree + 1))
-        + 4 degree + 2, where V_d = d**3 * max N(d) bounds every value
-        d**n1 * N of a degree-d line and W is the largest V_d1 V_(degree - d1).
+        total degree D = ``degree``: S = bits(comb(n, 2D + 1) sum_d1
+        V_d1 V_(D - d1) comb(n, 4 d1 + 1)) over 0 < d1 < D, with n = 4D + 2,
+        where V_d = d**3 * max N(d) bounds every value d**n1 * N of a
+        degree-d line.
 
-        Slot alpha of the accumulator of output line (gamma, delta) ends
+        Slot alpha of the accumulator of output line (gamma, delta, R) ends
         at comb(R, alpha) times the series there: the sum, over d1 and the
-        line pairs of that output, of comb(gamma, gamma1) comb(delta,
-        delta1) comb(R, r1) sum_a comb(r1, a) comb(r2, alpha - a) L1[a]
-        L2[alpha - a].  The inner sum is at most W comb(R, alpha)
-        (Vandermonde).  For fixed (gamma1, delta1) the d1 give distinct
-        r1 = 4 d1 + const, so their comb(R, r1) sum to at most 2**R, and the
-        binomials in gamma1 and delta1 sum to 2**(gamma + delta).  The slot
-        is thus at most W 2**(R + gamma + delta) comb(R, alpha), which is
-        largest at gamma = delta = 0 and R = 4 degree + 2, the most that
-        R + 2 gamma + 3 delta can be, and so below 2**S.  Every value is
-        nonnegative, so no partial sum exceeds the final slot and no slot
-        borrows from or carries into its neighbours.
+        line pairs of that output, one per (gamma1, delta1), of
+        comb(gamma, gamma1) comb(delta, delta1) comb(R, r1) sum_a comb(r1,
+        a) comb(r2, alpha - a) L1[a] L2[alpha - a].  The inner sum is at
+        most V_d1 V_(D - d1) comb(R, alpha) (Vandermonde).  A degree-d line
+        has at most 4d + 2 entries, so r1 <= 4 d1 + 1 and r2 = R - r1 <=
+        4 (D - d1) + 1, and comb(R, r1) <= comb(n, 4 d1 + 1), as comb(r1 +
+        r2, r1) grows with r1 and with r2.  The binomials in gamma1 and
+        delta1 sum to 2**(gamma + delta), so the slot is at most
+        comb(R, alpha) 2**(gamma + delta) sum_d1 V_d1 V_(D - d1) comb(n,
+        4 d1 + 1).  Every line has R + 2 gamma + 3 delta <= n, and
+        comb(R + 2, (R + 2) // 2) >= 2 comb(R, R // 2): raising gamma or
+        delta by one lowers R by 2 or 3, which at least halves the largest
+        comb(R, alpha), while it doubles 2**(gamma + delta).  So the line
+        gamma = delta = 0, R = n bounds every line, and the slot is below
+        2**S.  The bound is reached: where each degree's values are equal,
+        the shift-free pair (T1,T1,T1)**2 has slot 2D + 1 of that line at
+        exactly it.  Every value is nonnegative, so no partial sum exceeds
+        the final slot and no slot borrows from or carries into its
+        neighbours.
         """
         width = self._widths.get(degree)
         if width is None:
             v = [d**3 * max(self.tables[d].values()) for d in range(1, degree)]
-            w = max(map(mul, v, reversed(v)), default=0)
-            width = (w * comb(4 * degree + 2, 2 * degree + 1)).bit_length()
-            width += 4 * degree + 2
+            row = pascal_row(4 * degree + 2)
+            total = sum(v1 * v2 * row[4 * d1 + 1] for d1, v1, v2 in zip(
+                range(1, degree), v, reversed(v)))
+            width = (total * row[2 * degree + 1]).bit_length()
             self._widths[degree] = width
         return width
 

@@ -6,9 +6,10 @@ import re
 import pytest
 
 from gw24 import __version__
+from gw24 import cache as cache_module
 from gw24.cache import CacheError, load_store, save_store, seed_digest
 from gw24.cli import main
-from gw24.engine import Engine
+from gw24.engine import Engine, InvariantStore
 from gw24.keys import SeedSet
 
 
@@ -53,27 +54,86 @@ def test_tampered_row_rejected(engine3, tmp_path):
         load_store(str(path), engine3.seed_set)
 
 
-def test_wrong_values_with_fixed_digest_rejected(engine3, tmp_path):
-    # even a re-digested file with wrong rows fails the sample
-    # re-verification against freshly assembled relations
-    bad = Engine()
-    bad.solve_up_to(3)
-    tables = {d: dict(bad.store.canonical_table(d)) for d in (1, 2, 3)}
+def _forged(engine3, tmp_path):
+    """A d<=3 cache, written by the writer, with every degree-3 value 1
+    too high."""
+    tables = {d: dict(engine3.store.canonical_table(d)) for d in (1, 2, 3)}
     for key in tables[3]:
         tables[3][key] += 1
-    from gw24.engine import InvariantStore
-
     store = InvariantStore()
     for d in (1, 2, 3):
         store.commit_degree(d, tables[d])
     path = tmp_path / "forged.gw24"
     save_store(store, str(path), engine3.seed_set, __version__)
+    return path
+
+
+def test_wrong_values_with_fixed_digest_rejected(engine3, tmp_path):
+    # even a re-digested file with wrong rows fails the sample
+    # re-verification against freshly assembled relations, which a load
+    # runs unless asked not to
+    path = _forged(engine3, tmp_path)
     with pytest.raises(
         CacheError,
         match=r"sample verification failed at degree 3, "
               r"row \(\d+, \d+, \d+, \d+\), quadruple \(",
     ):
         load_store(str(path), engine3.seed_set)
+
+
+def test_verify_and_import_report_the_forged_cache_in_full(engine3,
+                                                          tmp_path, capsys):
+    # the loads of verify and cache import skip the row sample, and their
+    # own checks reject the forged cache: verify with its whole report
+    path = str(_forged(engine3, tmp_path))
+    for argv in ([], ["--exhaustive"]):
+        code = main(["verify", "--max-degree", "3", "--format", "json",
+                     "--cache-path", path, *argv])
+        out, err = capsys.readouterr()
+        assert (code, err) == (2, "")
+        checks = {c["check"]: c for c in json.loads(out)["checks"]}
+        assert [c["ok"] for c in checks.values()] == [True, True, False, False]
+        assert len(checks["wdvv-relations"]["failures"]) == 1196
+        assert checks["golden-table"]["failures"] == [
+            "degree 3: computed 505, reference 504"]
+    assert main(["cache", "import", "--cache-path", path]) == 2
+    assert capsys.readouterr() == ("", (
+        "inconsistency: cache rows violate the associativity relations at "
+        "a random point at degrees 3\n"))
+
+
+@pytest.fixture(scope="module")
+def cache4(tmp_path_factory):
+    engine = Engine()
+    engine.solve_up_to(4)
+    path = tmp_path_factory.mktemp("cache") / "d4.gw24"
+    save_store(engine.store, str(path), engine.seed_set, __version__)
+    return str(path)
+
+
+def test_only_table_invariant_and_export_sample_the_rows(cache4, capsys,
+                                                         monkeypatch):
+    # verify and cache import load without the row sample, since the check
+    # each runs next covers every relation; the other loads run it once
+    calls = []
+
+    def sample(store):
+        calls.append(store.max_degree)
+        raise CacheError("sampled")
+
+    monkeypatch.setattr(cache_module, "_verify_sample", sample)
+    for argv in (["verify", "--max-degree", "4"],
+                 ["verify", "--max-degree", "4", "--exhaustive"],
+                 ["cache", "import"]):
+        assert main([*argv, "--cache-path", cache4]) == 0, argv
+    assert calls == []
+    for argv in (["table", "--max-degree", "4"],
+                 ["invariant", "13", "0", "0", "0", "3"],
+                 ["cache", "export", "--max-degree", "4"]):
+        assert main([*argv, "--cache-path", cache4]) == 2, argv
+        assert capsys.readouterr().err == "inconsistency: sampled\n"
+        assert calls == [4]
+        calls.clear()
 
 
 def test_seed_digest_mismatch_rejected(engine3, tmp_path):

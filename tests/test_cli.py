@@ -390,7 +390,8 @@ def test_cache_import_tampered_exits_2(capsys, cache3, tmp_path):
 
 def test_cache_import_rejects_a_redigested_wrong_value(capsys, tmp_path):
     # N(0,0,1,5;4) = 6 written as 7, with the row digest recomputed: the
-    # load's row sample misses it, the random-point check does not
+    # row sample would miss it, so import loads without it and runs the
+    # random-point check, which does not
     path = tmp_path / "d6.gw24"
     run(capsys, "cache", "export", "--cache-path", str(path),
         "--max-degree", "6")

@@ -1,9 +1,13 @@
+import concurrent.futures
 import gc
 import hashlib
 import multiprocessing
 import os
 import random
 import re
+import subprocess
+import sys
+import textwrap
 import threading
 import tracemalloc
 from collections import Counter
@@ -767,12 +771,12 @@ def test_workers_verify_matches_serial_without_fork(engine4, monkeypatch,
 
 @pytest.fixture
 def inline_pool(monkeypatch):
-    """A fake pool context that runs the jobs in this process, so no
-    worker is ever started; it records the size and jobs of each pool."""
+    """A fake process pool executor that runs the jobs in this process, so
+    no worker is ever started; it records the size and jobs of each pool."""
     record = SimpleNamespace(sizes=[], jobs=[])
 
     class InlinePool:
-        def __init__(self, size, initializer, initargs):
+        def __init__(self, size, mp_context, initializer, initargs):
             record.sizes.append(size)
             initializer(*initargs)
 
@@ -782,15 +786,11 @@ def inline_pool(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def imap_unordered(self, func, jobs, chunksize=1):
+        def map(self, func, jobs):
             record.jobs.extend(jobs)
             return map(func, jobs)
 
-    class InlineContext:
-        Pool = InlinePool
-
-    monkeypatch.setattr(multiprocessing, "get_context",
-                        lambda method=None: InlineContext())
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
     monkeypatch.setattr(verify_module, "_WORKER_PSI", None)
     return record
 
@@ -810,6 +810,35 @@ def test_pool_has_at_most_one_process_per_degree(engine4, inline_pool,
     assert verify_store(engine4.store, 3, workers=8) == serial
     assert inline_pool.sizes == [3]
     assert inline_pool.jobs == [3, 2, 1]
+
+
+def test_a_failing_worker_breaks_the_pool():
+    # a degree-2 table missing a key: every worker's calculator raises in
+    # its initializer, under any start method.  The pool must fail, not
+    # replace its workers forever, so the check runs in a child process
+    # whose hang fails the test at the timeout.
+    script = textwrap.dedent("""
+        from concurrent.futures.process import BrokenProcessPool
+        from gw24 import verify
+        from gw24.engine import Engine
+
+        engine = Engine()
+        engine.solve_up_to(2)
+        tables = engine.store.raw_tables()
+        del tables[2][(9, 0, 0, 0)]
+        verify._usable_cpus = lambda: 2
+        try:
+            verify._check_degrees(tables, [1, 2], 2)
+        except BrokenProcessPool:
+            print("broken")
+    """)
+    src = os.path.join(
+        os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout) == (0, "broken\n"), proc.stderr
 
 
 @pytest.fixture

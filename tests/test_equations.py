@@ -375,8 +375,7 @@ def test_series_exact_at_its_slot_width(values):
     # 400 bits and on tables where every value is 2**k - 1: every pair of
     # the relations up to degree 4, and up to degree 6 the shift-free pair
     # (T1,T1,T1)^2, which no relation uses but whose output lines are the
-    # longest, so that on these tables its slots come within a few bits
-    # of the width
+    # longest, so that on these tables its slots reach the width
     rng = random.Random(12)
     draw = {
         "random": lambda: rng.getrandbits(rng.randint(0, 400)),
@@ -394,9 +393,36 @@ def test_series_exact_at_its_slot_width(values):
         for _coeff, s1, s2 in fam.quantum if (s1, s2) <= dual_pair(s1, s2)
     })
     for degree, sigma1, sigma2 in jobs:
-        assert series_entries(psi, sigma1, sigma2, degree) == naive_series(
-            tables, sigma1, sigma2, degree
-        ), (degree, sigma1, sigma2)
+        naive = naive_series(tables, sigma1, sigma2, degree)
+        assert series_entries(psi, sigma1, sigma2, degree) == naive, (
+            degree, sigma1, sigma2)
+        if sigma1 == sigma2 == free and values != "random":
+            # on equal values the largest packed slot, comb(R, alpha) times
+            # the series, has exactly the width's bits: one fewer overflows
+            top = max(comb(a + b, a) * v for (a, b, _g, _e), v in naive.items())
+            assert top.bit_length() == psi.slot_width(degree), degree
+
+
+@pytest.fixture(scope="module")
+def tables9():
+    eng = Engine()
+    eng.solve_up_to(9)
+    return eng.store.raw_tables()
+
+
+def test_slot_width_is_at_most_the_widest_pair_bound(tables9):
+    # the width sums the degree pairs d1 + d2 = D, each weighted by the
+    # binomial of its longest lines; the bound it replaced took the widest
+    # pair and 2**(4D + 2) for the binomials of every pair and line
+    psi = PsiCalculator(tables9)
+    widths = []
+    for degree in range(2, 11):
+        v = [d**3 * max(tables9[d].values()) for d in range(1, degree)]
+        widest = max(a * b for a, b in zip(v, reversed(v)))
+        old = (widest * comb(4 * degree + 2, 2 * degree + 1)).bit_length()
+        assert psi.slot_width(degree) <= old + 4 * degree + 2, degree
+        widths.append(psi.slot_width(degree))
+    assert widths == [16, 33, 50, 69, 89, 110, 132, 154, 177]
 
 
 @pytest.fixture(scope="module")
@@ -624,14 +650,12 @@ def test_shifted_lines_reindex_the_table(tables5):
     assert zero_slices
 
 
-def test_terms_stream_their_family_lines_in_lockstep():
+def test_terms_stream_their_family_lines_in_lockstep(tables9):
     # the exhaustive check zips a family's terms line by line, so every
     # cross term's slices are keyed by the family's weight lines, in the
     # order of lines_of_weight, and every series holds one line of r + 1
     # slots per weight line, zero lines and degree 1 included
-    eng = Engine()
-    eng.solve_up_to(9)
-    psi = PsiCalculator(eng.store.raw_tables())
+    psi = PsiCalculator(tables9)
     for degree in range(1, 10):
         read = set()
         for fam in equation_families():
@@ -653,16 +677,13 @@ def test_terms_stream_their_family_lines_in_lockstep():
     assert not psi._series
 
 
-def test_at_reads_only_degrees_below_its_own():
+def test_at_reads_only_degrees_below_its_own(tables9):
     # the column map spans every degree of its tables, and the solver's
     # tables may hold the degree it asks for and higher; ``psi`` holds
     # only the degrees below the one asked, where a read of degree
     # ``degree`` or above fails.  Both orders of each pair: with the
     # shift-free triple second, only the kernel's cap keeps d1 below
     # ``degree``
-    eng = Engine()
-    eng.solve_up_to(9)
-    tables9 = eng.store.raw_tables()
     full = PsiCalculator(tables9)
     calls = 0
     for degree in range(2, 10):
