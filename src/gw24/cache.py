@@ -6,21 +6,17 @@ Plain-text format, one line-delimited record per canonical key:
     alpha beta gamma delta degree value
     ...
 
-Values are decimal strings so that counts of any magnitude round-trip
-losslessly.  The header binds the file to a seed set (a cache produced
-from different seeds is rejected, never silently reused) and carries a
-digest of the row block, so a tampered row is rejected deterministically.
-``_render`` is the one definition of the file: a cache loads only if it is
-the text ``save_store`` would write for its rows, with any ``tool_version``
-string (reading in text mode turns CRLF line ends into LF).  By default
-a load also re-verifies a seeded random sample of rows against freshly
-assembled relations, which catches only some well-formed files with wrong
-values; it is the only value check of the loads of ``table``,
-``invariant`` and ``cache export``.  ``cache import`` and ``verify`` load
-with ``sample=False``, since the check each runs next covers every
-relation: the random-point check, or ``verify --exhaustive``'s relation by
-relation check.  Writes are atomic: temp file in the target directory,
-then rename.
+Values are decimal strings, so counts of any magnitude round-trip.  The
+header binds the file to a seed set (a cache of other seeds is rejected,
+never reused) and carries a digest of the rows.  ``_render`` is the one
+definition of the file: a load reads each degree's value column in the
+writer's key order and accepts only the text ``save_store`` writes for
+those values, with any ``tool_version`` (text mode reads CRLF as LF); any
+other file is rejected by its first row that is not the writer's.  The
+loads of ``table`` and ``invariant`` also re-derive a seeded sample of
+rows from fresh relations; ``verify`` and both cache commands load with
+``sample=False``, since the check each runs next covers every relation.
+Writes are atomic: temp file in the target directory, then rename.
 """
 
 from __future__ import annotations
@@ -30,9 +26,10 @@ import json
 import os
 import random
 import tempfile
+from contextlib import suppress
 from itertools import zip_longest
 
-from .engine import InvariantStore
+from .engine import EngineError, InvariantStore
 from .keys import SeedSet, canonical_keys
 from .wdvv import PsiCalculator, build_equation, equation_families
 
@@ -90,8 +87,9 @@ def save_store(store: InvariantStore, path: str, seed_set: SeedSet,
 
 def load_store(path: str, seed_set: SeedSet, *,
                sample: bool = True) -> InvariantStore:
-    """The store of the cache file at ``path``; ``CacheError`` if the file
-    is not the text ``save_store`` writes for ``seed_set``, or, with
+    """The store of the cache file at ``path``, read from the text after
+    each row's last space, in the writer's key order; ``CacheError`` if the
+    file is not the text ``save_store`` writes for ``seed_set``, or, with
     ``sample``, if a sampled row fails ``_verify_sample``."""
     with open(path, "r", encoding="utf-8") as handle:
         try:
@@ -117,45 +115,29 @@ def load_store(path: str, seed_set: SeedSet, *,
     rows = [line for line in lines[1:] if line.strip()]
     if header.get("content_digest") != _content_digest(rows):
         raise CacheError("content digest mismatch: cache rows were modified")
-
-    tables: dict[int, dict] = {}
-    # the current row's degree and its table; a degree's rows come together
-    current, table = 0, {}
-    for line in rows:
-        try:
-            a, b, g, e, degree, value = map(int, line.split())
-        except ValueError as exc:
-            raise CacheError(f"malformed row: {line!r}") from exc
-        if a < b or b < 0 or g < 0 or e < 0 or degree < 1 or value < 0:
-            raise CacheError(f"invalid row: {line!r}")
-        if degree != current:
-            current, table = degree, tables.setdefault(degree, {})
-        key = (a, b, g, e)
-        if key in table:
-            raise CacheError(f"duplicate row: {line!r}")
-        table[key] = value
-    if not tables:
-        raise CacheError("cache has no rows")
-    degrees = sorted(tables)
-    if degrees != list(range(1, degrees[-1] + 1)):
-        raise CacheError(f"cache degrees are not contiguous from 1: {degrees}")
-    if header.get("max_degree") != degrees[-1]:
-        raise CacheError(
-            f"header max_degree {header.get('max_degree')!r} does not match "
-            f"the rows' degrees 1..{degrees[-1]}"
-        )
-
-    store = InvariantStore()
-    try:
-        for degree in degrees:
-            store.commit_degree(degree, tables[degree])
-    except Exception as exc:
-        raise CacheError(f"cache rows do not form a valid store: {exc}") from exc
-
-    version = header.get("tool_version")
+    version, max_degree = header.get("tool_version"), header.get("max_degree")
     if not isinstance(version, str):
         raise CacheError(f"malformed header: tool_version {version!r} "
                          "is not a string")
+    if type(max_degree) is not int or max_degree < 1:
+        raise CacheError(f"malformed header: max_degree {max_degree!r} "
+                         "is not a positive integer")
+
+    store, start = InvariantStore(), 0
+    try:
+        for degree in range(1, max_degree + 1):
+            keys = canonical_keys(degree)[0]
+            # too few rows leave keys out, which commit_degree rejects
+            values = [int(row.rpartition(" ")[2])
+                      for row in rows[start:start + len(keys)]]
+            store.commit_degree(degree, dict(zip(keys, values)))
+            start += len(keys)
+    except (ValueError, EngineError):
+        # a value that is not an integer or is negative, or too few rows
+        start = -1
+    if start != len(rows):
+        raise CacheError(_first_foreign_row(rows, max_degree))
+
     written = _render(store, seed_set, version)
     if raw != written:
         # The first differing row, before the header: a row that differs
@@ -171,6 +153,23 @@ def load_store(path: str, seed_set: SeedSet, *,
     if sample:
         _verify_sample(store)
     return store
+
+
+def _first_foreign_row(rows: list[str], max_degree: int) -> str:
+    """The first of ``rows`` that the writer of degrees 1..``max_degree``
+    does not write there; only a load that fails compares key fields."""
+    wanted = ((d, key) for d in range(1, max_degree + 1)
+              for key in canonical_keys(d)[0])
+    for row, want in zip_longest(rows, wanted, fillvalue=""):
+        if not want:
+            return f"malformed row: {row!r} where the writer's rows end"
+        fields, _, value = row.rpartition(" ")
+        with suppress(ValueError):
+            if (fields == "{} {} {} {} {}".format(*want[1], want[0])
+                    and str(abs(int(value))) == value):
+                continue
+        return (f"malformed row: {row!r} where the writer writes degree "
+                f"{want[0]} key {want[1]}")
 
 
 def _verify_sample(store: InvariantStore) -> None:

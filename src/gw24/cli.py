@@ -257,9 +257,21 @@ def cmd_verify(args) -> int:
     return EXIT_OK if all_ok else EXIT_INCONSISTENT
 
 
+def _check_at_a_point(store) -> None:
+    """``CacheError`` if the random-point check flags a degree of ``store``."""
+    failing = degrees_failing_at_a_point(store.raw_tables(), store.max_degree)
+    if failing:
+        raise CacheError(
+            "cache rows violate the associativity relations at a random "
+            f"point at degrees {', '.join(map(str, sorted(failing)))}")
+
+
 def cmd_cache_export(args) -> int:
     _check_degree_gate(args)
-    engine, _loaded = _engine_with_cache(args.cache_path)
+    # The random-point check covers every relation, so the load skips its
+    # row sample; a cache it rejects is left as it is.
+    engine, _loaded = _engine_with_cache(args.cache_path, sample=False)
+    _check_at_a_point(engine.store)
     engine.solve_up_to(args.max_degree)
     _save_cache(engine, args.cache_path)
     print(
@@ -272,11 +284,7 @@ def cmd_cache_import(args) -> int:
     # The random-point check below covers every relation, so the load
     # skips its row sample.
     store = _load_cache(args.cache_path, seed_invariants(), sample=False)
-    failing = degrees_failing_at_a_point(store.raw_tables(), store.max_degree)
-    if failing:
-        raise CacheError(
-            "cache rows violate the associativity relations at a random "
-            f"point at degrees {', '.join(map(str, sorted(failing)))}")
+    _check_at_a_point(store)
     rows = sum(len(canonical_keys(d)[0]) for d in store.degrees())
     print(
         f"cache accepted: degrees 1..{store.max_degree}, {rows} rows"

@@ -7,10 +7,11 @@ import pytest
 
 from gw24 import __version__
 from gw24 import cache as cache_module
+from gw24 import engine as engine_module
 from gw24.cache import CacheError, load_store, save_store, seed_digest
 from gw24.cli import main
 from gw24.engine import Engine, InvariantStore
-from gw24.keys import SeedSet
+from gw24.keys import SeedSet, canonical_keys
 
 
 @pytest.fixture(scope="module")
@@ -102,6 +103,26 @@ def test_verify_and_import_report_the_forged_cache_in_full(engine3,
         "a random point at degrees 3\n"))
 
 
+def test_export_rejects_a_redigested_wrong_value_and_keeps_the_file(
+        tmp_path, capsys):
+    # the row sample misses this value; the export's random-point check,
+    # run before it solves or writes anything, does not
+    eng = Engine()
+    eng.solve_up_to(6)
+    path = tmp_path / "store.gw24"
+    header, rows = _saved(path, eng)
+    rows[rows.index("0 0 1 5 4 6")] = "0 0 1 5 4 7"
+    path.write_text(_redigested(header, rows))
+    load_store(str(path), eng.seed_set)
+    before = path.read_bytes()
+    assert main(["cache", "export", "--max-degree", "7",
+                 "--cache-path", str(path)]) == 2
+    assert capsys.readouterr() == ("", (
+        "inconsistency: cache rows violate the associativity relations at "
+        "a random point at degrees 4, 5, 6\n"))
+    assert path.read_bytes() == before
+
+
 @pytest.fixture(scope="module")
 def cache4(tmp_path_factory):
     engine = Engine()
@@ -111,10 +132,10 @@ def cache4(tmp_path_factory):
     return str(path)
 
 
-def test_only_table_invariant_and_export_sample_the_rows(cache4, capsys,
-                                                         monkeypatch):
-    # verify and cache import load without the row sample, since the check
-    # each runs next covers every relation; the other loads run it once
+def test_only_table_and_invariant_sample_the_rows(cache4, capsys,
+                                                  monkeypatch):
+    # verify and both cache commands load without the row sample, since the
+    # check each runs next covers every relation; the other loads run it once
     calls = []
 
     def sample(store):
@@ -124,12 +145,12 @@ def test_only_table_invariant_and_export_sample_the_rows(cache4, capsys,
     monkeypatch.setattr(cache_module, "_verify_sample", sample)
     for argv in (["verify", "--max-degree", "4"],
                  ["verify", "--max-degree", "4", "--exhaustive"],
-                 ["cache", "import"]):
+                 ["cache", "import"],
+                 ["cache", "export", "--max-degree", "4"]):
         assert main([*argv, "--cache-path", cache4]) == 0, argv
     assert calls == []
     for argv in (["table", "--max-degree", "4"],
-                 ["invariant", "13", "0", "0", "0", "3"],
-                 ["cache", "export", "--max-degree", "4"]):
+                 ["invariant", "13", "0", "0", "0", "3"]):
         assert main([*argv, "--cache-path", cache4]) == 2, argv
         assert capsys.readouterr().err == "inconsistency: sampled\n"
         assert calls == [4]
@@ -199,6 +220,16 @@ def _moved_up(rows):
     return [*rest[:j + 1], rows[i], *rest[j + 1:]]
 
 
+def _whole(message):
+    """A pattern that matches the whole of ``message`` and nothing else."""
+    return re.compile(rf"\A{re.escape(message)}\Z")
+
+
+def _huge_max_degree(h, rows):
+    """The rows of degrees 1..3 under a header that claims 10**9."""
+    return _redigested(dict(h, max_degree=10**9), rows)
+
+
 def _spliced(text, sep):
     """``text`` with its second line end replaced by ``sep``."""
     head, row, rest = text.split("\n", 2)
@@ -213,13 +244,21 @@ def _spliced(text, sep):
      "unsupported schema version 2"),
     (lambda h, rows: _redigested(h, rows + ["1 2 3 4 5 x"]), "malformed row"),
     (lambda h, rows: _redigested(h, [rows[0].rsplit(" ", 1)[0] + " -1",
-                                     *rows[1:]]), "invalid row"),
-    (lambda h, rows: _redigested(h, rows + ["0 5 0 0 1 0"]), "invalid row"),
-    (lambda h, rows: _redigested(h, rows + ["1 0 0 0 0 1"]), "invalid row"),
-    (lambda h, rows: _redigested(h, rows + rows[:1]), "duplicate row"),
-    (lambda h, rows: _redigested(h, []), "cache has no rows"),
+                                     *rows[1:]]),
+     _whole("malformed row: '0 0 1 1 1 -1' where the writer writes degree 1 "
+            "key (0, 0, 1, 1)")),
+    (lambda h, rows: _redigested(h, rows + ["0 5 0 0 1 0"]),
+     _whole("malformed row: '0 5 0 0 1 0' where the writer's rows end")),
+    (lambda h, rows: _redigested(h, rows + ["1 0 0 0 0 1"]),
+     _whole("malformed row: '1 0 0 0 0 1' where the writer's rows end")),
+    (lambda h, rows: _redigested(h, rows + rows[:1]),
+     _whole("malformed row: '0 0 1 1 1 1' where the writer's rows end")),
+    (lambda h, rows: _redigested(h, []),
+     _whole("malformed row: '' where the writer writes degree 1 "
+            "key (0, 0, 1, 1)")),
     (lambda h, rows: _redigested(dict(h, max_degree=7), rows),
-     "header max_degree 7 does not match the rows' degrees 1..3"),
+     _whole("malformed row: '' where the writer writes degree 4 "
+            "key (0, 0, 1, 5)")),
     # int() reads each of these as the stored number, which the writer
     # never writes in that form
     (lambda h, rows: _redigested(h, _rewritten(rows, 5, lambda v: "+" + v)),
@@ -266,6 +305,23 @@ def _spliced(text, sep):
      "malformed row"),
     (lambda h, rows: _redigested(h, [rows[0].replace(" ", "  ", 1),
                                      *rows[1:]]), "malformed row"),
+    # the loader reads only the values; the comparison with the writer's
+    # text rejects any other key, even with the row count unchanged
+    (lambda h, rows: _redigested(h, [rows[0], "0 1 2 0 1 1", *rows[2:]]),
+     _whole("malformed row: '0 1 2 0 1 1\\n' where the writer writes "
+            "'1 0 2 0 1 1\\n'")),
+    (lambda h, rows: _redigested(h, ["001111", *rows[1:]]),
+     _whole("malformed row: '001111\\n' where the writer writes "
+            "'0 0 1 1 1 1111\\n'")),
+    (lambda h, rows: _redigested(dict(h, max_degree=True), rows),
+     _whole("malformed header: max_degree True is not a positive integer")),
+    (lambda h, rows: _redigested(dict(h, max_degree=0), rows),
+     _whole("malformed header: max_degree 0 is not a positive integer")),
+    (lambda h, rows: _redigested(dict(h, max_degree=-1), rows),
+     _whole("malformed header: max_degree -1 is not a positive integer")),
+    (_huge_max_degree,
+     _whole("malformed row: '' where the writer writes degree 4 "
+            "key (0, 0, 1, 5)")),
 ], ids=["empty", "header-not-json", "schema", "row-not-integers",
         "negative-value", "alpha-below-beta", "degree-0", "duplicate",
         "no-rows", "header-max-degree", "value-plus-sign",
@@ -276,17 +332,36 @@ def _spliced(text, sep):
         "no-final-newline", "separator-x1e", "separator-u2028",
         "separator-x85", "separator-x0c", "separator-x0b", "blank-line",
         "rows-reordered", "row-back-to-lower-degree", "row-trailing-space",
-        "row-doubled-space"])
+        "row-doubled-space", "key-edited-in-place", "row-without-space",
+        "header-max-degree-true", "header-max-degree-0",
+        "header-max-degree-negative", "header-max-degree-huge"])
 def test_every_loader_rejection(tmp_path, engine3, capsys, corrupt, message):
     path = tmp_path / "store.gw24"
     header, rows = _saved(path, engine3)
     path.write_text(corrupt(header, rows), encoding="utf-8")
-    with pytest.raises(CacheError, match=message):
+    with pytest.raises(CacheError, match=message) as rejection:
         load_store(str(path), engine3.seed_set)
     assert main(["cache", "import", "--cache-path", str(path)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("inconsistency: ") and message in err
-    assert err.count("\n") == 1
+    assert capsys.readouterr().err == f"inconsistency: {rejection.value}\n"
+
+
+def test_huge_max_degree_builds_no_keys_past_the_rows(tmp_path, engine3,
+                                                     monkeypatch):
+    # the rows end in degree 4, and neither the load nor its error path
+    # builds the keys of any degree above it
+    path = tmp_path / "store.gw24"
+    path.write_text(_huge_max_degree(*_saved(path, engine3)))
+    asked = []
+
+    def recorded(degree):
+        asked.append(degree)
+        return canonical_keys(degree)
+
+    monkeypatch.setattr(cache_module, "canonical_keys", recorded)
+    monkeypatch.setattr(engine_module, "canonical_keys", recorded)
+    with pytest.raises(CacheError, match="degree 4 key"):
+        load_store(str(path), engine3.seed_set)
+    assert set(asked) == {1, 2, 3, 4}
 
 
 def test_crlf_copy_loads(tmp_path, engine3):
@@ -300,9 +375,10 @@ def test_crlf_copy_loads(tmp_path, engine3):
 
 @pytest.mark.parametrize("change, message", [
     (lambda rows: [r for r in rows if r != "0 0 0 3 2 1"],
-     "first missing key (0, 0, 0, 3), first unexpected key None"),
+     "malformed row: '0 0 3 1 2 1' where the writer writes degree 2 "
+     "key (0, 0, 0, 3)"),
     (lambda rows: rows + ["6 0 0 0 2 1"],
-     "first missing key None, first unexpected key (6, 0, 0, 0)"),
+     "malformed row: '6 0 0 0 2 1' where the writer's rows end"),
 ], ids=["missing-key", "unexpected-key"])
 def test_wrong_key_set_names_the_key(tmp_path, change, message):
     eng = Engine()
@@ -310,9 +386,7 @@ def test_wrong_key_set_names_the_key(tmp_path, change, message):
     path = tmp_path / "store.gw24"
     header, rows = _saved(path, eng)
     path.write_text(_redigested(header, change(rows)))
-    with pytest.raises(CacheError, match=re.escape(
-            f"cache rows do not form a valid store: degree 2: wrong key set: "
-            f"{message}")):
+    with pytest.raises(CacheError, match=_whole(message)):
         load_store(str(path), eng.seed_set)
 
 
@@ -334,7 +408,9 @@ def test_missing_degree_rejected(tmp_path, engine3):
     header, rows = _saved(path, engine3)
     path.write_text(_redigested(header, [r for r in rows
                                          if r.split()[4] != "2"]))
-    with pytest.raises(CacheError, match="contiguous"):
+    with pytest.raises(CacheError, match=_whole(
+            "malformed row: '0 0 2 3 3 2' where the writer writes degree 2 "
+            "key (0, 0, 0, 3)")):
         load_store(str(path), engine3.seed_set)
 
 

@@ -302,6 +302,21 @@ def test_seed_redundancy_each_seed_removable():
         assert eng.store.canonical_table(1) == expected, removed
 
 
+def test_seeds_scaled_by_three_scale_degree_d_by_three_to_the_d():
+    # N(d) -> 3^d N(d) is the substitution q -> 3q, which every relation
+    # respects; a constant that mixed degrees would break it
+    reference = Engine()
+    reference.solve_up_to(6)
+    scaled = Engine(seed_set=SeedSet(
+        entries={k: 3 * v for k, v in seed_invariants().entries.items()},
+        provenance_note="seeds times 3"))
+    scaled.solve_up_to(6)
+    for d in range(1, 7):
+        assert scaled.store.raw_table(d) == {
+            key: 3**d * v for key, v in reference.store.raw_table(d).items()
+        }, d
+
+
 def test_no_seeds_fails_loudly():
     eng = Engine(seed_set=SeedSet(entries={}, provenance_note="empty"))
     with pytest.raises(UnderdeterminedSystemError) as info:
