@@ -8,11 +8,11 @@ Plain-text format, one line-delimited record per canonical key:
 
 Values are decimal strings, so counts of any magnitude round-trip.  The
 header binds the file to a seed set (a cache of other seeds is rejected,
-never reused) and carries a digest of the rows.  ``_render`` is the one
-definition of the file: a load reads each degree's value column in the
-writer's key order and accepts only the text ``save_store`` writes for
-those values, with any ``tool_version`` (text mode reads CRLF as LF); any
-other file is rejected by its first row that is not the writer's.  The
+never reused) and carries a digest of the rows.  ``_header`` and ``_rows``
+define the file: ``save_store`` writes their text, and a load checks a
+file against them in one pass (any ``tool_version``; text mode reads CRLF
+as LF), rejecting it by its header or by its first row that is not the
+writer's, named with the degree and key the writer puts there.  The
 loads of ``table`` and ``invariant`` also re-derive a seeded sample of
 rows from fresh relations; ``verify`` and both cache commands load with
 ``sample=False``, since the check each runs next covers every relation.
@@ -26,11 +26,9 @@ import json
 import os
 import random
 import tempfile
-from contextlib import suppress
-from itertools import zip_longest
 
-from .engine import EngineError, InvariantStore
-from .keys import SeedSet, canonical_keys
+from .engine import InvariantStore
+from .keys import SeedSet, Tuple4, canonical_keys
 from .wdvv import PsiCalculator, build_equation, equation_families
 
 SCHEMA_VERSION = 1
@@ -51,21 +49,31 @@ def _content_digest(lines: list[str]) -> str:
     return hashlib.sha256("\n".join(lines).encode()).hexdigest()
 
 
+def _header(seed_set: SeedSet, tool_version: str, content_digest: str,
+            max_degree: int) -> str:
+    """The writer's header line, without its line end."""
+    return json.dumps({"schema": SCHEMA_VERSION,
+                       "seed_digest": seed_digest(seed_set),
+                       "tool_version": tool_version,
+                       "content_digest": content_digest,
+                       "max_degree": max_degree}, sort_keys=True)
+
+
+def _rows(degree: int, table: dict[Tuple4, int]) -> list[str]:
+    """The writer's rows of one degree of ``table``, without line ends."""
+    return [f"{a} {b} {g} {e} {degree} {v}"
+            for (a, b, g, e), v in table.items() if a >= b]
+
+
 def _render(store: InvariantStore, seed_set: SeedSet,
             tool_version: str) -> str:
     """The text of the cache file of ``store``."""
-    lines = [f"{a} {b} {g} {e} {degree} {v}"
-             for degree in store.degrees()
-             for (a, b, g, e), v in store.raw_table(degree).items()
-             if a >= b]
-    header = {
-        "schema": SCHEMA_VERSION,
-        "seed_digest": seed_digest(seed_set),
-        "tool_version": tool_version,
-        "content_digest": _content_digest(lines),
-        "max_degree": store.max_degree,
-    }
-    return json.dumps(header, sort_keys=True) + "\n" + "\n".join(lines) + "\n"
+    rows = []
+    for degree in store.degrees():
+        rows += _rows(degree, store.raw_table(degree))
+    header = _header(seed_set, tool_version, _content_digest(rows),
+                     store.max_degree)
+    return header + "\n" + "\n".join(rows) + "\n"
 
 
 def save_store(store: InvariantStore, path: str, seed_set: SeedSet,
@@ -87,10 +95,10 @@ def save_store(store: InvariantStore, path: str, seed_set: SeedSet,
 
 def load_store(path: str, seed_set: SeedSet, *,
                sample: bool = True) -> InvariantStore:
-    """The store of the cache file at ``path``, read from the text after
-    each row's last space, in the writer's key order; ``CacheError`` if the
-    file is not the text ``save_store`` writes for ``seed_set``, or, with
-    ``sample``, if a sampled row fails ``_verify_sample``."""
+    """The store of the cache file at ``path``, read in one pass against
+    ``_header`` and ``_rows``; ``CacheError`` if the file is not the text
+    ``save_store`` writes for ``seed_set``, or, with ``sample``, if a
+    sampled row fails ``_verify_sample``."""
     with open(path, "r", encoding="utf-8") as handle:
         try:
             raw = handle.read()
@@ -107,13 +115,12 @@ def load_store(path: str, seed_set: SeedSet, *,
         raise CacheError(f"malformed header: not a JSON object: {lines[0]!r}")
     if header.get("schema") != SCHEMA_VERSION:
         raise CacheError(f"unsupported schema version {header.get('schema')!r}")
-    expected_seed = seed_digest(seed_set)
-    if header.get("seed_digest") != expected_seed:
+    if header.get("seed_digest") != seed_digest(seed_set):
         raise CacheError(
             "seed-set digest mismatch: cache was produced from different seeds"
         )
-    rows = [line for line in lines[1:] if line.strip()]
-    if header.get("content_digest") != _content_digest(rows):
+    digest = _content_digest([line for line in lines[1:] if line.strip()])
+    if header.get("content_digest") != digest:
         raise CacheError("content digest mismatch: cache rows were modified")
     version, max_degree = header.get("tool_version"), header.get("max_degree")
     if not isinstance(version, str):
@@ -123,53 +130,45 @@ def load_store(path: str, seed_set: SeedSet, *,
         raise CacheError(f"malformed header: max_degree {max_degree!r} "
                          "is not a positive integer")
 
-    store, start = InvariantStore(), 0
-    try:
-        for degree in range(1, max_degree + 1):
-            keys = canonical_keys(degree)[0]
-            # too few rows leave keys out, which commit_degree rejects
-            values = [int(row.rpartition(" ")[2])
-                      for row in rows[start:start + len(keys)]]
-            store.commit_degree(degree, dict(zip(keys, values)))
-            start += len(keys)
-    except (ValueError, EngineError):
-        # a value that is not an integer or is negative, or too few rows
-        start = -1
-    if start != len(rows):
-        raise CacheError(_first_foreign_row(rows, max_degree))
-
-    written = _render(store, seed_set, version)
-    if raw != written:
-        # The first differing row, before the header: a row that differs
-        # changes the header's digest too.
-        pairs = list(zip_longest(raw.splitlines(True),
-                                 written.splitlines(True), fillvalue=""))
-        i = next((i for i, (got, want) in enumerate(pairs)
-                  if i and got != want), 0)
-        got, want = pairs[i]
-        raise CacheError(f"malformed {'row' if i else 'header'}: {got!r} "
+    lines = raw.split("\n")
+    want = _header(seed_set, version, digest, max_degree)
+    if lines[0] != want:
+        raise CacheError(f"malformed header: {lines[0]!r} "
                          f"where the writer writes {want!r}")
+    store, start = InvariantStore(), 1
+    for degree in range(1, max_degree + 1):
+        keys = canonical_keys(degree)[0]
+        block = lines[start:start + len(keys)]
+        try:
+            values = [int(row.rpartition(" ")[2]) for row in block]
+        except ValueError:  # a value int() cannot read is no writer's row
+            break
+        table = dict(zip(keys, values))
+        if (len(values) != len(keys) or min(values) < 0
+                or block != _rows(degree, table)):
+            break
+        store.commit_degree(degree, table)
+        start += len(keys)
+    if store.max_degree != max_degree or lines[start:] != [""]:
+        # the last piece of the split has no line end, so it is no writer's row
+        rows = lines[1:] or [""]
+        wanted = ((d, key) for d in range(1, max_degree + 1)
+                  for key in canonical_keys(d)[0])
+        for i, (row, (degree, key)) in enumerate(zip(rows, wanted)):
+            try:
+                value = int(row.rpartition(" ")[2])
+            except ValueError:
+                value = -1
+            if (i == len(rows) - 1 or value < 0
+                    or [row] != _rows(degree, {key: value})):
+                raise CacheError(f"malformed row: {row!r} where the writer "
+                                 f"writes degree {degree} key {key}")
+        raise CacheError(f"malformed row: {rows[i + 1]!r} "
+                         "where the writer's rows end")
 
     if sample:
         _verify_sample(store)
     return store
-
-
-def _first_foreign_row(rows: list[str], max_degree: int) -> str:
-    """The first of ``rows`` that the writer of degrees 1..``max_degree``
-    does not write there; only a load that fails compares key fields."""
-    wanted = ((d, key) for d in range(1, max_degree + 1)
-              for key in canonical_keys(d)[0])
-    for row, want in zip_longest(rows, wanted, fillvalue=""):
-        if not want:
-            return f"malformed row: {row!r} where the writer's rows end"
-        fields, _, value = row.rpartition(" ")
-        with suppress(ValueError):
-            if (fields == "{} {} {} {} {}".format(*want[1], want[0])
-                    and str(abs(int(value))) == value):
-                continue
-        return (f"malformed row: {row!r} where the writer writes degree "
-                f"{want[0]} key {want[1]}")
 
 
 def _verify_sample(store: InvariantStore) -> None:

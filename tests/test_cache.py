@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import random
 import re
 
 import pytest
@@ -8,7 +9,8 @@ import pytest
 from gw24 import __version__
 from gw24 import cache as cache_module
 from gw24 import engine as engine_module
-from gw24.cache import CacheError, load_store, save_store, seed_digest
+from gw24.cache import (CacheError, _render, load_store, save_store,
+                        seed_digest)
 from gw24.cli import main
 from gw24.engine import Engine, InvariantStore
 from gw24.keys import SeedSet, canonical_keys
@@ -308,11 +310,11 @@ def _spliced(text, sep):
     # the loader reads only the values; the comparison with the writer's
     # text rejects any other key, even with the row count unchanged
     (lambda h, rows: _redigested(h, [rows[0], "0 1 2 0 1 1", *rows[2:]]),
-     _whole("malformed row: '0 1 2 0 1 1\\n' where the writer writes "
-            "'1 0 2 0 1 1\\n'")),
+     _whole("malformed row: '0 1 2 0 1 1' where the writer writes degree 1 "
+            "key (1, 0, 2, 0)")),
     (lambda h, rows: _redigested(h, ["001111", *rows[1:]]),
-     _whole("malformed row: '001111\\n' where the writer writes "
-            "'0 0 1 1 1 1111\\n'")),
+     _whole("malformed row: '001111' where the writer writes degree 1 "
+            "key (0, 0, 1, 1)")),
     (lambda h, rows: _redigested(dict(h, max_degree=True), rows),
      _whole("malformed header: max_degree True is not a positive integer")),
     (lambda h, rows: _redigested(dict(h, max_degree=0), rows),
@@ -322,6 +324,20 @@ def _spliced(text, sep):
     (_huge_max_degree,
      _whole("malformed row: '' where the writer writes degree 4 "
             "key (0, 0, 1, 5)")),
+    # the writer's text in every other field, so only the sign rejects it
+    (lambda h, rows: _redigested(h, [*rows[:52], "3 0 5 0 3 -5", *rows[53:]]),
+     _whole("malformed row: '3 0 5 0 3 -5' where the writer writes degree 3 "
+            "key (3, 0, 5, 0)")),
+    # the last row has no line end, so the file's rows end one row early
+    (lambda h, rows: _redigested(h, rows[:-1])[:-1],
+     _whole("malformed row: '12 1 0 0 3 1824' where the writer writes "
+            "degree 3 key (12, 1, 0, 0)")),
+    (lambda h, rows: _redigested(h, rows)[:-1],
+     _whole("malformed row: '13 0 0 0 3 504' where the writer writes "
+            "degree 3 key (13, 0, 0, 0)")),
+    (lambda h, rows: _redigested(h, [])[:-2],
+     _whole("malformed row: '' where the writer writes degree 1 "
+            "key (0, 0, 1, 1)")),
 ], ids=["empty", "header-not-json", "schema", "row-not-integers",
         "negative-value", "alpha-below-beta", "degree-0", "duplicate",
         "no-rows", "header-max-degree", "value-plus-sign",
@@ -334,7 +350,9 @@ def _spliced(text, sep):
         "rows-reordered", "row-back-to-lower-degree", "row-trailing-space",
         "row-doubled-space", "key-edited-in-place", "row-without-space",
         "header-max-degree-true", "header-max-degree-0",
-        "header-max-degree-negative", "header-max-degree-huge"])
+        "header-max-degree-negative", "header-max-degree-huge",
+        "negative-middle-value", "short-degree-no-final-newline",
+        "no-final-newline-names-last-row", "header-without-line-end"])
 def test_every_loader_rejection(tmp_path, engine3, capsys, corrupt, message):
     path = tmp_path / "store.gw24"
     header, rows = _saved(path, engine3)
@@ -343,6 +361,37 @@ def test_every_loader_rejection(tmp_path, engine3, capsys, corrupt, message):
         load_store(str(path), engine3.seed_set)
     assert main(["cache", "import", "--cache-path", str(path)]) == 2
     assert capsys.readouterr().err == f"inconsistency: {rejection.value}\n"
+
+
+def test_every_edit_is_rejected_or_is_the_writers_text(tmp_path, engine3):
+    # seeded edits of 1-3 characters, most with the row digest recomputed:
+    # a load raises CacheError or returns the store the file is the
+    # writer's text of, under the header's tool_version
+    path = tmp_path / "store.gw24"
+    save_store(engine3.store, str(path), engine3.seed_set, __version__)
+    text = path.read_text()
+    digest = json.loads(text.split("\n", 1)[0])["content_digest"]
+    alphabet = "0123456789 -+_x{}\":,\n\r\x1e\x85"
+    rng = random.Random(0x67773235)
+    for _ in range(2000):
+        at, size = rng.randrange(len(text) + 1), rng.randint(1, 3)
+        chars = "".join(rng.choice(alphabet) for _ in range(size))
+        edited = rng.choice([text[:at] + chars + text[at:],
+                             text[:at] + text[at + size:],
+                             text[:at] + chars + text[at + size:]])
+        if rng.random() < 0.8:
+            lines = edited.replace("\r\n", "\n").replace("\r", "\n")
+            rows = [r for r in lines.splitlines()[1:] if r.strip()]
+            edited = edited.replace(digest, hashlib.sha256(
+                "\n".join(rows).encode()).hexdigest())
+        path.write_text(edited, encoding="utf-8", newline="")
+        try:
+            store = load_store(str(path), engine3.seed_set, sample=False)
+        except CacheError:
+            continue
+        loaded = path.read_text(encoding="utf-8")
+        version = json.loads(loaded.split("\n", 1)[0])["tool_version"]
+        assert _render(store, engine3.seed_set, version) == loaded
 
 
 def test_huge_max_degree_builds_no_keys_past_the_rows(tmp_path, engine3,
