@@ -104,9 +104,9 @@ def load_store(path: str, seed_set: SeedSet, *,
             raw = handle.read()
         except UnicodeDecodeError as exc:
             raise CacheError(f"cache file is not UTF-8 text: {exc}") from exc
-    lines = raw.splitlines()
-    if not lines:
+    if not raw:
         raise CacheError("empty cache file")
+    lines = raw.split("\n")
     try:
         header = json.loads(lines[0])
     except json.JSONDecodeError as exc:
@@ -119,7 +119,8 @@ def load_store(path: str, seed_set: SeedSet, *,
         raise CacheError(
             "seed-set digest mismatch: cache was produced from different seeds"
         )
-    digest = _content_digest([line for line in lines[1:] if line.strip()])
+    # the rows between the header line and the final line end
+    digest = _content_digest(lines[1:-1] if lines[-1] == "" else lines[1:])
     if header.get("content_digest") != digest:
         raise CacheError("content digest mismatch: cache rows were modified")
     version, max_degree = header.get("tool_version"), header.get("max_degree")
@@ -130,7 +131,6 @@ def load_store(path: str, seed_set: SeedSet, *,
         raise CacheError(f"malformed header: max_degree {max_degree!r} "
                          "is not a positive integer")
 
-    lines = raw.split("\n")
     want = _header(seed_set, version, digest, max_degree)
     if lines[0] != want:
         raise CacheError(f"malformed header: {lines[0]!r} "

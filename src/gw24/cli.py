@@ -127,30 +127,41 @@ def _save_cache(engine: Engine, cache_path: str) -> None:
         raise UsageError(f"cannot write cache file: {exc}") from exc
 
 
-def _engine_with_cache(cache_path: str | None,
-                       sample: bool = True) -> tuple[Engine, int]:
+def _engine_with_cache(cache_path: str | None, sample: bool = True) -> Engine:
     engine = Engine()
-    loaded = 0
     if cache_path and os.path.exists(cache_path):
         engine.store = _load_cache(cache_path, engine.seed_set, sample)
-        loaded = engine.store.max_degree
-    return engine, loaded
+    return engine
 
 
-def _maybe_refresh_cache(engine: Engine, cache_path: str | None,
-                         loaded: int) -> None:
-    if cache_path and engine.store.max_degree > loaded:
-        _save_cache(engine, cache_path)
+def _check_at_a_point(store) -> None:
+    """``CacheError`` if the random-point check flags a degree of ``store``."""
+    failing = degrees_failing_at_a_point(store.raw_tables(), store.max_degree)
+    if failing:
+        raise CacheError(
+            "cache rows violate the associativity relations at a random "
+            f"point at degrees {', '.join(map(str, sorted(failing)))}")
+
+
+def _extend_cache(engine: Engine, cache_path: str, degree: int) -> None:
+    """Point-check the loaded degrees, solve through ``degree``, then save:
+    the one path that writes a cache file."""
+    if engine.store.max_degree:
+        _check_at_a_point(engine.store)
+    engine.solve_up_to(degree)
+    _save_cache(engine, cache_path)
 
 
 def cmd_invariant(args) -> int:
     if min(args.alpha, args.beta, args.gamma, args.delta) < 0 or args.degree < 0:
         raise UsageError("all key entries must be nonnegative")
-    engine, loaded = _engine_with_cache(args.cache_path)
+    engine = _engine_with_cache(args.cache_path)
     key = InvariantKey(args.alpha, args.beta, args.gamma, args.delta, args.degree)
-    value = engine.invariant(*key)
     valid = dimension_valid(key)
-    _maybe_refresh_cache(engine, args.cache_path, loaded)
+    # a dimension-invalid key is 0 by convention and needs no solve
+    if args.cache_path and valid and key.degree > engine.store.max_degree:
+        _extend_cache(engine, args.cache_path, key.degree)
+    value = engine.invariant(*key)
     if args.format == "json":
         print(json.dumps({
             "alpha": key.alpha, "beta": key.beta, "gamma": key.gamma,
@@ -171,9 +182,10 @@ def cmd_invariant(args) -> int:
 
 def cmd_table(args) -> int:
     _check_degree_gate(args)
-    engine, loaded = _engine_with_cache(args.cache_path)
+    engine = _engine_with_cache(args.cache_path)
+    if args.cache_path and args.max_degree > engine.store.max_degree:
+        _extend_cache(engine, args.cache_path, args.max_degree)
     rows = build_rows(engine, args.max_degree, with_nd=args.with_nd)
-    _maybe_refresh_cache(engine, args.cache_path, loaded)
     sys.stdout.write(RENDERERS[args.format](rows))
     return EXIT_OK
 
@@ -183,7 +195,7 @@ def _record(check: str, failures: list, **extra) -> dict:
     return {"check": check, "ok": not failures, "failures": failures, **extra}
 
 
-def _engine_checks(args, engine: Engine, loaded: int) -> list[dict]:
+def _engine_checks(args, engine: Engine) -> list[dict]:
     """The wdvv-relations and golden-table records of ``verify``."""
     report = engine.verify_wdvv(
         args.max_degree, exhaustive=args.exhaustive, workers=args.workers
@@ -205,7 +217,6 @@ def _engine_checks(args, engine: Engine, loaded: int) -> list[dict]:
             golden_failures.append(
                 f"degree {d}: computed {q}, reference {GOLDEN_Q[d]}"
             )
-    _maybe_refresh_cache(engine, args.cache_path, loaded)
     return [
         _record("wdvv-relations", failures,
                 equations_checked=report.equations_checked),
@@ -225,7 +236,9 @@ def cmd_verify(args) -> int:
     try:
         # Building the engine runs the seed cross-checks.  The load skips
         # the row sample: the wdvv-relations check covers every relation.
-        engine, loaded = _engine_with_cache(args.cache_path, sample=False)
+        # A solve past the loaded degrees stays in memory: verify never
+        # writes the file.
+        engine = _engine_with_cache(args.cache_path, sample=False)
     except SeedTableError as exc:
         records.append(_record("seed-cross-checks", [str(exc)]))
         # The remaining checks run on an engine built from the seeds.
@@ -234,7 +247,7 @@ def cmd_verify(args) -> int:
                             "skipped": "the seed cross-checks failed"})
     else:
         records.append(_record("seed-cross-checks", []))
-        records.extend(_engine_checks(args, engine, loaded))
+        records.extend(_engine_checks(args, engine))
 
     all_ok = all(r["ok"] for r in records)
     if args.format == "json":
@@ -257,23 +270,12 @@ def cmd_verify(args) -> int:
     return EXIT_OK if all_ok else EXIT_INCONSISTENT
 
 
-def _check_at_a_point(store) -> None:
-    """``CacheError`` if the random-point check flags a degree of ``store``."""
-    failing = degrees_failing_at_a_point(store.raw_tables(), store.max_degree)
-    if failing:
-        raise CacheError(
-            "cache rows violate the associativity relations at a random "
-            f"point at degrees {', '.join(map(str, sorted(failing)))}")
-
-
 def cmd_cache_export(args) -> int:
     _check_degree_gate(args)
     # The random-point check covers every relation, so the load skips its
     # row sample; a cache it rejects is left as it is.
-    engine, _loaded = _engine_with_cache(args.cache_path, sample=False)
-    _check_at_a_point(engine.store)
-    engine.solve_up_to(args.max_degree)
-    _save_cache(engine, args.cache_path)
+    engine = _engine_with_cache(args.cache_path, sample=False)
+    _extend_cache(engine, args.cache_path, args.max_degree)
     print(
         f"exported degrees 1..{engine.store.max_degree} to {args.cache_path}"
     )

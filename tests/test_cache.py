@@ -232,6 +232,9 @@ def _huge_max_degree(h, rows):
     return _redigested(dict(h, max_degree=10**9), rows)
 
 
+_MODIFIED = _whole("content digest mismatch: cache rows were modified")
+
+
 def _spliced(text, sep):
     """``text`` with its second line end replaced by ``sep``."""
     head, row, rest = text.split("\n", 2)
@@ -293,13 +296,14 @@ def _spliced(text, sep):
     (lambda h, rows: json.dumps(h, sort_keys=True, separators=(",", ":"))
      + "\n" + "\n".join(rows) + "\n", "malformed header"),
     (lambda h, rows: _redigested(h, rows)[:-1], "malformed row"),
-    (lambda h, rows: _spliced(_redigested(h, rows), "\x1e"), "malformed row"),
-    (lambda h, rows: _spliced(_redigested(h, rows), "\u2028"),
-     "malformed row"),
-    (lambda h, rows: _spliced(_redigested(h, rows), "\x85"), "malformed row"),
-    (lambda h, rows: _spliced(_redigested(h, rows), "\x0c"), "malformed row"),
-    (lambda h, rows: _spliced(_redigested(h, rows), "\x0b"), "malformed row"),
-    (lambda h, rows: _spliced(_redigested(h, rows), "\n\n"), "malformed row"),
+    # the row digest covers the text between the header line and the
+    # final line end, so any other line end or a blank line changes it
+    (lambda h, rows: _spliced(_redigested(h, rows), "\x1e"), _MODIFIED),
+    (lambda h, rows: _spliced(_redigested(h, rows), "\u2028"), _MODIFIED),
+    (lambda h, rows: _spliced(_redigested(h, rows), "\x85"), _MODIFIED),
+    (lambda h, rows: _spliced(_redigested(h, rows), "\x0c"), _MODIFIED),
+    (lambda h, rows: _spliced(_redigested(h, rows), "\x0b"), _MODIFIED),
+    (lambda h, rows: _spliced(_redigested(h, rows), "\n\n"), _MODIFIED),
     (lambda h, rows: _redigested(h, [rows[1], rows[0], *rows[2:]]),
      "malformed row"),
     (lambda h, rows: _redigested(h, _moved_up(rows)), "malformed row"),

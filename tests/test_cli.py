@@ -434,7 +434,6 @@ def test_cache_write_to_missing_directory_usage_error(capsys, tmp_path):
         ("cache", "export", "--cache-path", path, "--max-degree", "1"),
         ("table", "--max-degree", "1", "--cache-path", path),
         ("invariant", "5", "0", "0", "0", "1", "--cache-path", path),
-        ("verify", "--max-degree", "1", "--cache-path", path),
     ):
         code, out, err = run(capsys, *argv)
         assert code == 1, argv
@@ -460,3 +459,92 @@ def test_cache_refresh_extends_file(capsys, tmp_path):
     code, out, _err = run(capsys, "cache", "import", "--cache-path", str(path))
     assert code == 0
     assert "degrees 1..2" in out
+
+
+@pytest.fixture(scope="module")
+def raised6_text(tmp_path_factory):
+    """A d<=6 cache with N(11,4,5,0;6) raised by 1 and its row digest
+    recomputed: the load's row sample misses it, the point check does not."""
+    eng = Engine()
+    eng.solve_up_to(6)
+    path = tmp_path_factory.mktemp("cache") / "d6.gw24"
+    save_store(eng.store, str(path), eng.seed_set, __version__)
+    header, *rows = path.read_text().splitlines()
+    rows[rows.index("11 4 5 0 6 2831442851260")] = "11 4 5 0 6 2831442851261"
+    digest = hashlib.sha256("\n".join(rows).encode()).hexdigest()
+    return (json.dumps(dict(json.loads(header), content_digest=digest),
+                       sort_keys=True) + "\n" + "\n".join(rows) + "\n")
+
+
+@pytest.fixture
+def raised6(tmp_path, raised6_text):
+    path = tmp_path / "raised6.gw24"
+    path.write_text(raised6_text)
+    return path
+
+
+@pytest.mark.parametrize("argv", [
+    ("table", "--max-degree", "7"),
+    ("invariant", "29", "0", "0", "0", "7"),
+], ids=["table", "invariant"])
+def test_extending_a_cache_point_checks_the_loaded_degrees(capsys, raised6,
+                                                          argv):
+    # the check runs before any value is read, solved or written
+    before = raised6.read_bytes()
+    code, out, err = run(capsys, *argv, "--cache-path", str(raised6))
+    assert (code, out) == (2, "")
+    assert err == ("inconsistency: cache rows violate the associativity "
+                   "relations at a random point at degrees 6\n")
+    assert raised6.read_bytes() == before
+
+
+def test_verify_never_writes_the_cache(capsys, raised6):
+    # a solve past the loaded degrees stays in memory, in both modes
+    before = raised6.read_bytes()
+    reports = []
+    for mode in ((), ("--exhaustive",)):
+        code, out, _err = run(capsys, "verify", "--max-degree", "7", *mode,
+                              "--cache-path", str(raised6))
+        assert code == 2
+        reports.append(out)
+        assert raised6.read_bytes() == before
+    assert reports[0] == reports[1]
+    lines = reports[0].splitlines()
+    assert lines[2:4] == [
+        "wdvv-relations: FAIL (equations checked: 58222)",
+        '  {"degree": 6, "monomial": [1, 11, 5, 0], '
+        '"quadruple": [1, 1, 2, 2], "residual": "1"}',
+    ]
+    assert lines[-1] == "golden-table: ok (golden rows matched: 7)"
+
+
+@pytest.fixture(scope="module")
+def cache4(tmp_path_factory):
+    eng = Engine()
+    eng.solve_up_to(4)
+    path = tmp_path_factory.mktemp("cache") / "d4.gw24"
+    save_store(eng.store, str(path), eng.seed_set, __version__)
+    return path
+
+
+def test_reads_inside_the_loaded_degrees_run_no_point_check(capsys,
+                                                            monkeypatch,
+                                                            cache4):
+    def unexpected(tables, max_degree):
+        raise AssertionError("point check run")
+
+    monkeypatch.setattr("gw24.cli.degrees_failing_at_a_point", unexpected)
+    before = cache4.read_bytes()
+    for argv in (("table", "--max-degree", "3"),
+                 ("invariant", "13", "0", "0", "0", "3")):
+        code, _out, _err = run(capsys, *argv, "--cache-path", str(cache4))
+        assert code == 0, argv
+    assert cache4.read_bytes() == before
+
+
+def test_a_dimension_invalid_key_writes_no_cache(capsys, tmp_path):
+    path = tmp_path / "new.gw24"
+    code, out, _err = run(capsys, "invariant", "1", "0", "0", "0", "2",
+                          "--cache-path", str(path))
+    assert (code, out) == (0, "0\n")
+    assert not path.exists()
