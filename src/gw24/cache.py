@@ -12,10 +12,11 @@ never reused) and carries a digest of the rows.  ``_header`` and ``_rows``
 define the file: ``save_store`` writes their text, and a load checks a
 file against them in one pass (any ``tool_version``; text mode reads CRLF
 as LF), rejecting it by its header or by its first row that is not the
-writer's, named with the degree and key the writer puts there.  The
-loads of ``table`` and ``invariant`` also re-derive a seeded sample of
-rows from fresh relations; ``verify`` and both cache commands load with
-``sample=False``, since the check each runs next covers every relation.
+writer's, named with the degree and key the writer puts there.  A load
+also re-derives a seeded sample of rows from fresh relations, over the
+degrees up to ``sample_through``: ``table`` and ``invariant`` pass the
+highest degree they read, and ``verify`` and both cache commands pass 0,
+since the check each runs next covers every relation.
 Writes are atomic: temp file in the target directory, then rename.
 """
 
@@ -94,11 +95,13 @@ def save_store(store: InvariantStore, path: str, seed_set: SeedSet,
 
 
 def load_store(path: str, seed_set: SeedSet, *,
-               sample: bool = True) -> InvariantStore:
+               sample_through: int | None = None) -> InvariantStore:
     """The store of the cache file at ``path``, read in one pass against
     ``_header`` and ``_rows``; ``CacheError`` if the file is not the text
-    ``save_store`` writes for ``seed_set``, or, with ``sample``, if a
-    sampled row fails ``_verify_sample``."""
+    ``save_store`` writes for ``seed_set``, or if a sampled row of degree
+    at most ``sample_through`` (every degree of the file if None, none if
+    0) fails ``_verify_sample``.  Rows of a higher degree are checked only
+    against the digest and the writer's form."""
     with open(path, "r", encoding="utf-8") as handle:
         try:
             raw = handle.read()
@@ -166,18 +169,23 @@ def load_store(path: str, seed_set: SeedSet, *,
         raise CacheError(f"malformed row: {rows[i + 1]!r} "
                          "where the writer's rows end")
 
-    if sample:
-        _verify_sample(store)
+    through = (max_degree if sample_through is None
+               else min(sample_through, max_degree))
+    if through > 0:
+        _verify_sample(store, through)
     return store
 
 
-def _verify_sample(store: InvariantStore) -> None:
-    """Re-derive a seeded random sample of rows from fresh relations."""
+def _verify_sample(store: InvariantStore, through: int) -> None:
+    """Re-derive a seeded random sample of the rows of degrees 1..through
+    from fresh relations, which read only those degrees: the rows and
+    relations are the first ones of the sample of every degree."""
     rng = random.Random(_SAMPLE_RNG_SEED)
-    psi = PsiCalculator(store.raw_tables())
+    tables = store.raw_tables()
+    psi = PsiCalculator({d: tables[d] for d in range(1, through + 1)})
     families = equation_families()
-    for degree in store.degrees():
-        raw = store.raw_table(degree)
+    for degree in range(1, through + 1):
+        raw = tables[degree]
         keys = canonical_keys(degree)[0]
         for key in rng.sample(keys, min(_SAMPLE_ROWS_PER_DEGREE, len(keys))):
             checked = 0

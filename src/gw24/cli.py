@@ -113,9 +113,9 @@ def _check_degree_gate(args) -> None:
         )
 
 
-def _load_cache(cache_path: str, seed_set, sample: bool = True):
+def _load_cache(cache_path: str, seed_set, sample_through: int):
     try:
-        return load_store(cache_path, seed_set, sample=sample)
+        return load_store(cache_path, seed_set, sample_through=sample_through)
     except OSError as exc:
         raise UsageError(f"cannot read cache file: {exc}") from exc
 
@@ -127,10 +127,10 @@ def _save_cache(engine: Engine, cache_path: str) -> None:
         raise UsageError(f"cannot write cache file: {exc}") from exc
 
 
-def _engine_with_cache(cache_path: str | None, sample: bool = True) -> Engine:
+def _engine_with_cache(cache_path: str | None, sample_through: int) -> Engine:
     engine = Engine()
     if cache_path and os.path.exists(cache_path):
-        engine.store = _load_cache(cache_path, engine.seed_set, sample)
+        engine.store = _load_cache(cache_path, engine.seed_set, sample_through)
     return engine
 
 
@@ -155,9 +155,10 @@ def _extend_cache(engine: Engine, cache_path: str, degree: int) -> None:
 def cmd_invariant(args) -> int:
     if min(args.alpha, args.beta, args.gamma, args.delta) < 0 or args.degree < 0:
         raise UsageError("all key entries must be nonnegative")
-    engine = _engine_with_cache(args.cache_path)
     key = InvariantKey(args.alpha, args.beta, args.gamma, args.delta, args.degree)
     valid = dimension_valid(key)
+    # the sample covers the one degree read; an invalid key reads no value
+    engine = _engine_with_cache(args.cache_path, key.degree if valid else 0)
     # a dimension-invalid key is 0 by convention and needs no solve
     if args.cache_path and valid and key.degree > engine.store.max_degree:
         _extend_cache(engine, args.cache_path, key.degree)
@@ -182,7 +183,7 @@ def cmd_invariant(args) -> int:
 
 def cmd_table(args) -> int:
     _check_degree_gate(args)
-    engine = _engine_with_cache(args.cache_path)
+    engine = _engine_with_cache(args.cache_path, args.max_degree)
     if args.cache_path and args.max_degree > engine.store.max_degree:
         _extend_cache(engine, args.cache_path, args.max_degree)
     rows = build_rows(engine, args.max_degree, with_nd=args.with_nd)
@@ -238,7 +239,7 @@ def cmd_verify(args) -> int:
         # the row sample: the wdvv-relations check covers every relation.
         # A solve past the loaded degrees stays in memory: verify never
         # writes the file.
-        engine = _engine_with_cache(args.cache_path, sample=False)
+        engine = _engine_with_cache(args.cache_path, 0)
     except SeedTableError as exc:
         records.append(_record("seed-cross-checks", [str(exc)]))
         # The remaining checks run on an engine built from the seeds.
@@ -250,31 +251,43 @@ def cmd_verify(args) -> int:
         records.extend(_engine_checks(args, engine))
 
     all_ok = all(r["ok"] for r in records)
-    if args.format == "json":
+    try:
+        _print_report(args.format, all_ok, records)
+        sys.stdout.flush()  # a closed stdout raises here, not at exit
+    except BrokenPipeError:
+        # the verdict stands; the recipe of Python's signal docs sends the
+        # output still buffered to devnull, so the exit flush cannot fail
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+    return EXIT_OK if all_ok else EXIT_INCONSISTENT
+
+
+def _print_report(fmt: str, all_ok: bool, records: list[dict]) -> None:
+    if fmt == "json":
         print(json.dumps({"ok": all_ok, "checks": records}, indent=2,
                          sort_keys=True))
-    else:
-        for r in records:
-            status = "ok" if r["ok"] else "FAIL"
-            extra = ""
-            if "skipped" in r:
-                status, extra = "skipped", f" ({r['skipped']})"
-            elif r["check"] == "wdvv-relations":
-                extra = f" (equations checked: {r['equations_checked']})"
-            elif r["check"] == "golden-table":
-                extra = f" (golden rows matched: {r['matched_rows']})"
-            print(f"{r['check']}: {status}{extra}")
-            for failure in r["failures"]:
-                print(f"  {json.dumps(failure, sort_keys=True)}"
-                      if isinstance(failure, dict) else f"  {failure}")
-    return EXIT_OK if all_ok else EXIT_INCONSISTENT
+        return
+    for r in records:
+        status = "ok" if r["ok"] else "FAIL"
+        extra = ""
+        if "skipped" in r:
+            status, extra = "skipped", f" ({r['skipped']})"
+        elif r["check"] == "wdvv-relations":
+            extra = f" (equations checked: {r['equations_checked']})"
+        elif r["check"] == "golden-table":
+            extra = f" (golden rows matched: {r['matched_rows']})"
+        print(f"{r['check']}: {status}{extra}")
+        for failure in r["failures"]:
+            print(f"  {json.dumps(failure, sort_keys=True)}"
+                  if isinstance(failure, dict) else f"  {failure}")
 
 
 def cmd_cache_export(args) -> int:
     _check_degree_gate(args)
     # The random-point check covers every relation, so the load skips its
     # row sample; a cache it rejects is left as it is.
-    engine = _engine_with_cache(args.cache_path, sample=False)
+    engine = _engine_with_cache(args.cache_path, 0)
     _extend_cache(engine, args.cache_path, args.max_degree)
     print(
         f"exported degrees 1..{engine.store.max_degree} to {args.cache_path}"
@@ -285,7 +298,7 @@ def cmd_cache_export(args) -> int:
 def cmd_cache_import(args) -> int:
     # The random-point check below covers every relation, so the load
     # skips its row sample.
-    store = _load_cache(args.cache_path, seed_invariants(), sample=False)
+    store = _load_cache(args.cache_path, seed_invariants(), 0)
     _check_at_a_point(store)
     rows = sum(len(canonical_keys(d)[0]) for d in store.degrees())
     print(

@@ -3,11 +3,13 @@ import json
 import os
 import random
 import re
+import shutil
 
 import pytest
 
 from gw24 import __version__
 from gw24 import cache as cache_module
+from gw24 import cli
 from gw24 import engine as engine_module
 from gw24.cache import (CacheError, _render, load_store, save_store,
                         seed_digest)
@@ -134,29 +136,91 @@ def cache4(tmp_path_factory):
     return str(path)
 
 
-def test_only_table_and_invariant_sample_the_rows(cache4, capsys,
-                                                  monkeypatch):
-    # verify and both cache commands load without the row sample, since the
-    # check each runs next covers every relation; the other loads run it once
+def test_each_command_samples_through_the_degrees_it_reads(
+        cache4, tmp_path, monkeypatch):
+    # table and invariant sample the degrees they read; verify and both
+    # cache commands sample none, since the check each runs next covers
+    # every relation.  A file is extended after the point check only.
+    events = []
+    sample, check = cache_module._verify_sample, cli.degrees_failing_at_a_point
+    save = cli.save_store
+
+    def sampled(store, through):
+        events.append(("sample", through))
+        sample(store, through)
+
+    def checked(tables, max_degree):
+        events.append("point check")
+        return check(tables, max_degree)
+
+    def saved(*args):
+        events.append("write")
+        save(*args)
+
+    monkeypatch.setattr(cache_module, "_verify_sample", sampled)
+    monkeypatch.setattr(cli, "degrees_failing_at_a_point", checked)
+    monkeypatch.setattr(cli, "save_store", saved)
+    path = tmp_path / "d4.gw24"
+    shutil.copyfile(cache4, path)
+    for argv, want in (
+            (["table", "--max-degree", "4"], [("sample", 4)]),
+            (["table", "--max-degree", "2"], [("sample", 2)]),
+            (["invariant", "13", "0", "0", "0", "3"], [("sample", 3)]),
+            (["invariant", "13", "0", "0", "1", "3"], []),
+            (["verify", "--max-degree", "4"], []),
+            (["verify", "--max-degree", "4", "--exhaustive"], []),
+            (["cache", "import"], ["point check"]),
+            (["cache", "export", "--max-degree", "4"],
+             ["point check", "write"]),
+            (["invariant", "21", "0", "0", "0", "5"],
+             [("sample", 4), "point check", "write"])):
+        assert main([*argv, "--cache-path", str(path)]) == 0, argv
+        assert events == want, argv
+        events.clear()
+
+
+def test_a_request_rejects_only_the_wrong_degrees_it_reads(engine3, tmp_path,
+                                                          capsys):
+    # every degree-3 value of the forged file is wrong: requests that read
+    # degrees 1-2 only are served, those that read degree 3 exit 2
+    path = _forged(engine3, tmp_path)
+    before = path.read_bytes()
+    for argv, code in ((["invariant", "4", "2", "0", "1", "2"], 0),
+                       (["table", "--max-degree", "2"], 0),
+                       (["invariant", "13", "0", "0", "0", "3"], 2),
+                       (["table", "--max-degree", "3"], 2)):
+        assert main([*argv, "--cache-path", str(path)]) == code, argv
+        out, err = capsys.readouterr()
+        if code:
+            assert err.startswith("inconsistency: sample verification "
+                                  "failed at degree 3, "), argv
+        elif argv[0] == "invariant":
+            assert out == "5\n"
+        assert path.read_bytes() == before, argv
+
+
+def test_a_bounded_sample_is_the_start_of_the_full_one(tmp_path, monkeypatch):
+    # the same rows and relations, in the same order, up to the bound
+    eng = Engine()
+    eng.solve_up_to(6)
+    path = tmp_path / "d6.gw24"
+    save_store(eng.store, str(path), eng.seed_set, __version__)
+    build = cache_module.build_equation
     calls = []
 
-    def sample(store):
-        calls.append(store.max_degree)
-        raise CacheError("sampled")
+    def recorded(family, target, degree, psi):
+        calls.append((degree, family, target))
+        return build(family, target, degree, psi)
 
-    monkeypatch.setattr(cache_module, "_verify_sample", sample)
-    for argv in (["verify", "--max-degree", "4"],
-                 ["verify", "--max-degree", "4", "--exhaustive"],
-                 ["cache", "import"],
-                 ["cache", "export", "--max-degree", "4"]):
-        assert main([*argv, "--cache-path", cache4]) == 0, argv
-    assert calls == []
-    for argv in (["table", "--max-degree", "4"],
-                 ["invariant", "13", "0", "0", "0", "3"]):
-        assert main([*argv, "--cache-path", cache4]) == 2, argv
-        assert capsys.readouterr().err == "inconsistency: sampled\n"
-        assert calls == [4]
+    monkeypatch.setattr(cache_module, "build_equation", recorded)
+    load_store(str(path), eng.seed_set)
+    full = list(calls)
+    assert {c[0] for c in full} == set(range(1, 7))
+    for k in range(1, 7):
         calls.clear()
+        load_store(str(path), eng.seed_set, sample_through=k)
+        assert calls == full[:len(calls)]
+        assert calls == [c for c in full if c[0] <= k]
 
 
 def test_seed_digest_mismatch_rejected(engine3, tmp_path):
@@ -390,7 +454,8 @@ def test_every_edit_is_rejected_or_is_the_writers_text(tmp_path, engine3):
                 "\n".join(rows).encode()).hexdigest())
         path.write_text(edited, encoding="utf-8", newline="")
         try:
-            store = load_store(str(path), engine3.seed_set, sample=False)
+            store = load_store(str(path), engine3.seed_set,
+                               sample_through=0)
         except CacheError:
             continue
         loaded = path.read_text(encoding="utf-8")

@@ -298,16 +298,21 @@ def test_internal_value_error_is_not_a_usage_error(capsys, monkeypatch):
     assert capsys.readouterr().err == ""
 
 
-def test_cli_import_leaves_multiprocessing_unloaded():
-    # only a pool imports it: multiprocessing.pool adds 1.6 MiB of peak
-    # RSS (20.0 -> 21.6 MiB after gw24.cli, Python 3.11.7)
+def _src_env():
+    """The environment with this checkout's sources first on the path."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, (str(ROOT / "src"), env.get("PYTHONPATH"))))
+    return env
+
+
+def test_cli_import_leaves_multiprocessing_unloaded():
+    # only a pool imports it: multiprocessing.pool adds 1.6 MiB of peak
+    # RSS (20.0 -> 21.6 MiB after gw24.cli, Python 3.11.7)
     proc = subprocess.run(
         [sys.executable, "-c", "import sys, gw24.cli; "
          "sys.exit('multiprocessing' in sys.modules)"],
-        env=env, capture_output=True, text=True, timeout=60)
+        env=_src_env(), capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
 
 
@@ -516,6 +521,22 @@ def test_verify_never_writes_the_cache(capsys, raised6):
         '"quadruple": [1, 1, 2, 2], "residual": "1"}',
     ]
     assert lines[-1] == "golden-table: ok (golden rows matched: 7)"
+
+
+def test_verify_on_a_closed_stdout_exits_with_its_verdict(raised6):
+    # a reader that closed the pipe (as `| head -3` does) cuts the report
+    # short: no traceback, and the exit code is still the verdict
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "gw24.cli", "verify", "--max-degree", "7",
+             "--exhaustive", "--cache-path", str(raised6)],
+            env=_src_env(), stdout=write, stderr=subprocess.PIPE, text=True,
+            timeout=300)
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (2, "")
 
 
 @pytest.fixture(scope="module")
