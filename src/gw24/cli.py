@@ -2,7 +2,8 @@
 
 Commands: invariant, table, verify, cache export, cache import.
 Exit codes: 0 success, 1 usage error, 2 verification inconsistency,
-3 underdetermined system.
+3 underdetermined system.  A command keeps its exit code when its reader
+closes the output early.
 """
 
 from __future__ import annotations
@@ -120,20 +121,6 @@ def _load_cache(cache_path: str, seed_set, sample_through: int):
         raise UsageError(f"cannot read cache file: {exc}") from exc
 
 
-def _save_cache(engine: Engine, cache_path: str) -> None:
-    try:
-        save_store(engine.store, cache_path, engine.seed_set, __version__)
-    except OSError as exc:
-        raise UsageError(f"cannot write cache file: {exc}") from exc
-
-
-def _engine_with_cache(cache_path: str | None, sample_through: int) -> Engine:
-    engine = Engine()
-    if cache_path and os.path.exists(cache_path):
-        engine.store = _load_cache(cache_path, engine.seed_set, sample_through)
-    return engine
-
-
 def _check_at_a_point(store) -> None:
     """``CacheError`` if the random-point check flags a degree of ``store``."""
     failing = degrees_failing_at_a_point(store.raw_tables(), store.max_degree)
@@ -149,7 +136,36 @@ def _extend_cache(engine: Engine, cache_path: str, degree: int) -> None:
     if engine.store.max_degree:
         _check_at_a_point(engine.store)
     engine.solve_up_to(degree)
-    _save_cache(engine, cache_path)
+    try:
+        save_store(engine.store, cache_path, engine.seed_set, __version__)
+    except OSError as exc:
+        raise UsageError(f"cannot write cache file: {exc}") from exc
+
+
+def _engine_for(cache_path: str | None, reads: int) -> Engine:
+    """The engine of a request that reads degrees 1..``reads``: the one
+    degree bound of the request.  It bounds the load's row sample, and a
+    file holding fewer degrees is extended through it."""
+    engine = Engine()
+    if cache_path and os.path.exists(cache_path):
+        engine.store = _load_cache(cache_path, engine.seed_set, reads)
+    if cache_path and reads > engine.store.max_degree:
+        _extend_cache(engine, cache_path, reads)
+    return engine
+
+
+def _write(text: str) -> None:
+    """Write ``text`` to stdout and flush: the one place the CLI writes its
+    output, once per command.  A closed stdout leaves the exit code as it
+    is: the recipe of Python's signal docs sends the output still buffered
+    to devnull, so the exit flush cannot fail."""
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
 
 
 def cmd_invariant(args) -> int:
@@ -157,20 +173,17 @@ def cmd_invariant(args) -> int:
         raise UsageError("all key entries must be nonnegative")
     key = InvariantKey(args.alpha, args.beta, args.gamma, args.delta, args.degree)
     valid = dimension_valid(key)
-    # the sample covers the one degree read; an invalid key reads no value
-    engine = _engine_with_cache(args.cache_path, key.degree if valid else 0)
-    # a dimension-invalid key is 0 by convention and needs no solve
-    if args.cache_path and valid and key.degree > engine.store.max_degree:
-        _extend_cache(engine, args.cache_path, key.degree)
+    # a dimension-invalid key is 0 by convention: it reads no degree
+    engine = _engine_for(args.cache_path, key.degree if valid else 0)
     value = engine.invariant(*key)
     if args.format == "json":
-        print(json.dumps({
+        _write(json.dumps({
             "alpha": key.alpha, "beta": key.beta, "gamma": key.gamma,
             "delta": key.delta, "degree": key.degree,
             "value": str(value), "dimension_valid": valid,
-        }, sort_keys=True))
+        }, sort_keys=True) + "\n")
     else:
-        print(value)
+        _write(f"{value}\n")
         if not valid:
             # the reasons of keys.dimension_valid, the degree checked first
             reason = ("degree < 1: degree-0 counts are classical, not in the "
@@ -183,11 +196,9 @@ def cmd_invariant(args) -> int:
 
 def cmd_table(args) -> int:
     _check_degree_gate(args)
-    engine = _engine_with_cache(args.cache_path, args.max_degree)
-    if args.cache_path and args.max_degree > engine.store.max_degree:
-        _extend_cache(engine, args.cache_path, args.max_degree)
+    engine = _engine_for(args.cache_path, args.max_degree)
     rows = build_rows(engine, args.max_degree, with_nd=args.with_nd)
-    sys.stdout.write(RENDERERS[args.format](rows))
+    _write(RENDERERS[args.format](rows))
     return EXIT_OK
 
 
@@ -239,7 +250,7 @@ def cmd_verify(args) -> int:
         # the row sample: the wdvv-relations check covers every relation.
         # A solve past the loaded degrees stays in memory: verify never
         # writes the file.
-        engine = _engine_with_cache(args.cache_path, 0)
+        engine = _engine_for(args.cache_path, 0)
     except SeedTableError as exc:
         records.append(_record("seed-cross-checks", [str(exc)]))
         # The remaining checks run on an engine built from the seeds.
@@ -251,23 +262,15 @@ def cmd_verify(args) -> int:
         records.extend(_engine_checks(args, engine))
 
     all_ok = all(r["ok"] for r in records)
-    try:
-        _print_report(args.format, all_ok, records)
-        sys.stdout.flush()  # a closed stdout raises here, not at exit
-    except BrokenPipeError:
-        # the verdict stands; the recipe of Python's signal docs sends the
-        # output still buffered to devnull, so the exit flush cannot fail
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
+    _write(_report(args.format, all_ok, records))
     return EXIT_OK if all_ok else EXIT_INCONSISTENT
 
 
-def _print_report(fmt: str, all_ok: bool, records: list[dict]) -> None:
+def _report(fmt: str, all_ok: bool, records: list[dict]) -> str:
     if fmt == "json":
-        print(json.dumps({"ok": all_ok, "checks": records}, indent=2,
-                         sort_keys=True))
-        return
+        return json.dumps({"ok": all_ok, "checks": records}, indent=2,
+                          sort_keys=True) + "\n"
+    lines = []
     for r in records:
         status = "ok" if r["ok"] else "FAIL"
         extra = ""
@@ -277,20 +280,21 @@ def _print_report(fmt: str, all_ok: bool, records: list[dict]) -> None:
             extra = f" (equations checked: {r['equations_checked']})"
         elif r["check"] == "golden-table":
             extra = f" (golden rows matched: {r['matched_rows']})"
-        print(f"{r['check']}: {status}{extra}")
-        for failure in r["failures"]:
-            print(f"  {json.dumps(failure, sort_keys=True)}"
-                  if isinstance(failure, dict) else f"  {failure}")
+        lines.append(f"{r['check']}: {status}{extra}")
+        lines.extend(f"  {json.dumps(failure, sort_keys=True)}"
+                     if isinstance(failure, dict) else f"  {failure}"
+                     for failure in r["failures"])
+    return "\n".join(lines) + "\n"
 
 
 def cmd_cache_export(args) -> int:
     _check_degree_gate(args)
     # The random-point check covers every relation, so the load skips its
     # row sample; a cache it rejects is left as it is.
-    engine = _engine_with_cache(args.cache_path, 0)
+    engine = _engine_for(args.cache_path, 0)
     _extend_cache(engine, args.cache_path, args.max_degree)
-    print(
-        f"exported degrees 1..{engine.store.max_degree} to {args.cache_path}"
+    _write(
+        f"exported degrees 1..{engine.store.max_degree} to {args.cache_path}\n"
     )
     return EXIT_OK
 
@@ -301,15 +305,15 @@ def cmd_cache_import(args) -> int:
     store = _load_cache(args.cache_path, seed_invariants(), 0)
     _check_at_a_point(store)
     rows = sum(len(canonical_keys(d)[0]) for d in store.degrees())
-    print(
-        f"cache accepted: degrees 1..{store.max_degree}, {rows} rows"
-    )
+    _write(f"cache accepted: degrees 1..{store.max_degree}, {rows} rows\n")
     return EXIT_OK
 
 
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
+        if args.cache_path == "":
+            raise UsageError("--cache-path must not be empty")
         return args.func(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

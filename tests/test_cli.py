@@ -523,20 +523,55 @@ def test_verify_never_writes_the_cache(capsys, raised6):
     assert lines[-1] == "golden-table: ok (golden rows matched: 7)"
 
 
-def test_verify_on_a_closed_stdout_exits_with_its_verdict(raised6):
-    # a reader that closed the pipe (as `| head -3` does) cuts the report
+@pytest.mark.parametrize("argv, expected", [
+    (("table", "--max-degree", "4", "--cache-path", "{cache4}"), 0),
+    (("cache", "import", "--cache-path", "{cache4}"), 0),
+    (("invariant", "13", "0", "0", "0", "3"), 0),
+    (("cache", "export", "--max-degree", "3", "--cache-path", "{fresh}"), 0),
+    (("verify", "--max-degree", "7", "--exhaustive",
+      "--cache-path", "{raised6}"), 2),
+], ids=["table", "cache-import", "invariant", "cache-export", "verify"])
+def test_every_command_on_a_closed_stdout_exits_with_its_verdict(
+        capsys, tmp_path, cache4, raised6, argv, expected):
+    # a reader that closed the pipe (as `| head -3` does) cuts the output
     # short: no traceback, and the exit code is still the verdict
+    fresh = tmp_path / "fresh.gw24"
+    argv = [a.format(cache4=cache4, raised6=raised6, fresh=fresh)
+            for a in argv]
     read, write = os.pipe()
     os.close(read)
     try:
         proc = subprocess.run(
-            [sys.executable, "-m", "gw24.cli", "verify", "--max-degree", "7",
-             "--exhaustive", "--cache-path", str(raised6)],
+            [sys.executable, "-m", "gw24.cli", *argv],
             env=_src_env(), stdout=write, stderr=subprocess.PIPE, text=True,
             timeout=300)
     finally:
         os.close(write)
-    assert (proc.returncode, proc.stderr) == (2, "")
+    assert (proc.returncode, proc.stderr) == (expected, "")
+    if argv[:2] == ["cache", "export"]:
+        # the file was written before the output: it is whole
+        code, out, _err = run(capsys, "cache", "import",
+                              "--cache-path", str(fresh))
+        assert (code, out) == (0, "cache accepted: degrees 1..3, 104 rows\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ("table",),
+    ("invariant", "13", "0", "0", "0", "3"),
+    ("verify",),
+    ("cache", "export"),
+    ("cache", "import"),
+], ids=["table", "invariant", "verify", "cache-export", "cache-import"])
+def test_an_empty_cache_path_is_a_usage_error(capsys, monkeypatch, argv):
+    # rejected right after parsing: no engine built, no seed read
+    def unexpected(*args, **kwargs):
+        raise AssertionError("engine or seeds built")
+
+    monkeypatch.setattr("gw24.cli.Engine", unexpected)
+    monkeypatch.setattr("gw24.cli.seed_invariants", unexpected)
+    code, out, err = run(capsys, *argv, "--cache-path", "")
+    assert (code, out) == (1, "")
+    assert err == "usage error: --cache-path must not be empty\n"
 
 
 @pytest.fixture(scope="module")
