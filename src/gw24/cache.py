@@ -9,14 +9,16 @@ Plain-text format, one line-delimited record per canonical key:
 Values are decimal strings, so counts of any magnitude round-trip.  The
 header binds the file to a seed set (a cache of other seeds is rejected,
 never reused) and carries a digest of the rows.  ``_header`` and ``_rows``
-define the file: ``save_store`` writes their text, and a load checks a
-file against them in one pass (any ``tool_version``; text mode reads CRLF
-as LF), rejecting it by its header or by its first row that is not the
-writer's, named with the degree and key the writer puts there.  A load
-also re-derives a seeded sample of rows from fresh relations, over the
-degrees up to ``sample_through``: ``table`` and ``invariant`` pass the
-highest degree they read, and ``verify`` and both cache commands pass 0,
-since the check each runs next covers every relation.
+define the file: a row is its key's ``_prefixes`` entry, built once per
+degree, followed by its value.  ``save_store`` writes their text, and a
+load checks a file against them in one pass (any ``tool_version``; text
+mode reads CRLF as LF), rejecting it by its header or by its first row
+that is not the writer's, named with the degree and key the writer puts
+there.  A load also re-derives a seeded sample of rows from fresh
+relations, over the degrees up to ``sample_through``: ``table`` and
+``invariant`` pass the highest degree they read, and ``verify`` and both
+cache commands pass 0, since the check each runs next covers every
+relation.
 Writes are atomic: temp file in the target directory, then rename.
 """
 
@@ -27,9 +29,12 @@ import json
 import os
 import random
 import tempfile
+from collections.abc import Iterable
+from functools import lru_cache
+from operator import add
 
 from .engine import InvariantStore
-from .keys import SeedSet, Tuple4, canonical_keys
+from .keys import SeedSet, canonical_keys
 from .wdvv import PsiCalculator, build_equation, equation_families
 
 SCHEMA_VERSION = 1
@@ -60,10 +65,19 @@ def _header(seed_set: SeedSet, tool_version: str, content_digest: str,
                        "max_degree": max_degree}, sort_keys=True)
 
 
-def _rows(degree: int, table: dict[Tuple4, int]) -> list[str]:
-    """The writer's rows of one degree of ``table``, without line ends."""
-    return [f"{a} {b} {g} {e} {degree} {v}"
-            for (a, b, g, e), v in table.items() if a >= b]
+@lru_cache(maxsize=None)
+def _prefixes(degree: int) -> tuple[str, ...]:
+    """The writer's row of each canonical key of ``degree`` up to its
+    value, ``"a b g e d "``, in ``canonical_keys`` order; built once."""
+    return tuple(f"{a} {b} {g} {e} {degree} "
+                 for a, b, g, e in canonical_keys(degree)[0])
+
+
+def _rows(degree: int, values: Iterable[int]) -> list[str]:
+    """The writer's rows of one degree, without line ends: ``values`` are
+    the values of its canonical keys in ``canonical_keys`` order.  ``map``
+    stops at the shorter of the two, so a load checks the row count."""
+    return list(map(add, _prefixes(degree), map(str, values)))
 
 
 def _render(store: InvariantStore, seed_set: SeedSet,
@@ -71,7 +85,8 @@ def _render(store: InvariantStore, seed_set: SeedSet,
     """The text of the cache file of ``store``."""
     rows = []
     for degree in store.degrees():
-        rows += _rows(degree, store.raw_table(degree))
+        raw = store.raw_table(degree)
+        rows += _rows(degree, map(raw.__getitem__, canonical_keys(degree)[0]))
     header = _header(seed_set, tool_version, _content_digest(rows),
                      store.max_degree)
     return header + "\n" + "\n".join(rows) + "\n"
@@ -146,24 +161,22 @@ def load_store(path: str, seed_set: SeedSet, *,
             values = [int(row.rpartition(" ")[2]) for row in block]
         except ValueError:  # a value int() cannot read is no writer's row
             break
-        table = dict(zip(keys, values))
         if (len(values) != len(keys) or min(values) < 0
-                or block != _rows(degree, table)):
+                or block != _rows(degree, values)):
             break
-        store.commit_degree(degree, table)
+        store.commit_degree(degree, dict(zip(keys, values)))
         start += len(keys)
     if store.max_degree != max_degree or lines[start:] != [""]:
         # the last piece of the split has no line end, so it is no writer's row
         rows = lines[1:] or [""]
-        wanted = ((d, key) for d in range(1, max_degree + 1)
-                  for key in canonical_keys(d)[0])
-        for i, (row, (degree, key)) in enumerate(zip(rows, wanted)):
+        wanted = ((d, key, prefix) for d in range(1, max_degree + 1)
+                  for key, prefix in zip(canonical_keys(d)[0], _prefixes(d)))
+        for i, (row, (degree, key, prefix)) in enumerate(zip(rows, wanted)):
             try:
                 value = int(row.rpartition(" ")[2])
             except ValueError:
                 value = -1
-            if (i == len(rows) - 1 or value < 0
-                    or [row] != _rows(degree, {key: value})):
+            if i == len(rows) - 1 or value < 0 or row != prefix + str(value):
                 raise CacheError(f"malformed row: {row!r} where the writer "
                                  f"writes degree {degree} key {key}")
         raise CacheError(f"malformed row: {rows[i + 1]!r} "
@@ -179,10 +192,13 @@ def load_store(path: str, seed_set: SeedSet, *,
 def _verify_sample(store: InvariantStore, through: int) -> None:
     """Re-derive a seeded random sample of the rows of degrees 1..through
     from fresh relations, which read only those degrees: the rows and
-    relations are the first ones of the sample of every degree."""
+    relations are the first ones of the sample of every degree.  A
+    relation of degree d reads degree d from the raw table in its residual
+    and the lower degrees through ``PsiCalculator.at``, so the calculator
+    holds degrees 1..through-1 only."""
     rng = random.Random(_SAMPLE_RNG_SEED)
     tables = store.raw_tables()
-    psi = PsiCalculator({d: tables[d] for d in range(1, through + 1)})
+    psi = PsiCalculator({d: tables[d] for d in range(1, through)})
     families = equation_families()
     for degree in range(1, through + 1):
         raw = tables[degree]

@@ -223,6 +223,25 @@ def test_a_bounded_sample_is_the_start_of_the_full_one(tmp_path, monkeypatch):
         assert calls == [c for c in full if c[0] <= k]
 
 
+def test_the_sample_calculator_holds_only_the_degrees_below_the_bound(
+        cache4, monkeypatch):
+    # a relation of degree d reads degree d from the raw table, and its
+    # products read only the degrees below d
+    calculator = cache_module.PsiCalculator
+    built = []
+
+    def recorded(tables):
+        built.append(list(tables))
+        return calculator(tables)
+
+    monkeypatch.setattr(cache_module, "PsiCalculator", recorded)
+    seed_set = Engine().seed_set
+    for k in range(1, 5):
+        built.clear()
+        load_store(cache4, seed_set, sample_through=k)
+        assert built == [list(range(1, k))], k
+
+
 def test_seed_digest_mismatch_rejected(engine3, tmp_path):
     path = tmp_path / "store.gw24"
     save_store(engine3.store, str(path), engine3.seed_set, __version__)
@@ -311,7 +330,8 @@ def _spliced(text, sep):
      "malformed header"),
     (lambda h, rows: _redigested(dict(h, schema=2), rows),
      "unsupported schema version 2"),
-    (lambda h, rows: _redigested(h, rows + ["1 2 3 4 5 x"]), "malformed row"),
+    (lambda h, rows: _redigested(h, rows + ["1 2 3 4 5 x"]),
+     _whole("malformed row: '1 2 3 4 5 x' where the writer's rows end")),
     (lambda h, rows: _redigested(h, [rows[0].rsplit(" ", 1)[0] + " -1",
                                      *rows[1:]]),
      _whole("malformed row: '0 0 1 1 1 -1' where the writer writes degree 1 "
@@ -331,20 +351,26 @@ def _spliced(text, sep):
     # int() reads each of these as the stored number, which the writer
     # never writes in that form
     (lambda h, rows: _redigested(h, _rewritten(rows, 5, lambda v: "+" + v)),
-     "malformed row"),
+     _whole("malformed row: '3 2 2 0 2 +11' where the writer writes degree 2 "
+            "key (3, 2, 2, 0)")),
     (lambda h, rows: _redigested(h, _rewritten(rows, 5, lambda v: "0" + v)),
-     "malformed row"),
+     _whole("malformed row: '3 2 2 0 2 011' where the writer writes degree 2 "
+            "key (3, 2, 2, 0)")),
     (lambda h, rows: _redigested(h, _rewritten(rows, 0, lambda v: "0" + v)),
-     "malformed row"),
+     _whole("malformed row: '03 2 2 0 2 11' where the writer writes degree 2 "
+            "key (3, 2, 2, 0)")),
     (lambda h, rows: _redigested(
         h, _rewritten(rows, 5, lambda v: v[0] + "_" + v[1:])),
-     "malformed row"),
+     _whole("malformed row: '3 2 2 0 2 1_1' where the writer writes degree 2 "
+            "key (3, 2, 2, 0)")),
     (lambda h, rows: _redigested(
         h, _rewritten(rows, 5, lambda v: "".join(chr(0xFF10 + int(c))
                                                  for c in v))),
-     "malformed row"),
+     _whole("malformed row: '3 2 2 0 2 \uff11\uff11' where the writer "
+            "writes degree 2 key (3, 2, 2, 0)")),
     (lambda h, rows: _redigested(h, _rewritten(rows, 3, lambda v: "-" + v)),
-     "malformed row"),
+     _whole("malformed row: '3 2 2 -0 2 11' where the writer writes degree 2 "
+            "key (3, 2, 2, 0)")),
     # a loader that parses instead of comparing with the writer's text
     # also reads each of these as the stored table
     (lambda h, rows: _redigested(dict(h, schema=True), rows),
@@ -369,12 +395,18 @@ def _spliced(text, sep):
     (lambda h, rows: _spliced(_redigested(h, rows), "\x0b"), _MODIFIED),
     (lambda h, rows: _spliced(_redigested(h, rows), "\n\n"), _MODIFIED),
     (lambda h, rows: _redigested(h, [rows[1], rows[0], *rows[2:]]),
-     "malformed row"),
-    (lambda h, rows: _redigested(h, _moved_up(rows)), "malformed row"),
+     _whole("malformed row: '1 0 2 0 1 1' where the writer writes degree 1 "
+            "key (0, 0, 1, 1)")),
+    (lambda h, rows: _redigested(h, _moved_up(rows)),
+     _whole("malformed row: '0 0 3 1 2 1' where the writer writes degree 2 "
+            "key (0, 0, 0, 3)")),
     (lambda h, rows: _redigested(h, [rows[0] + " ", *rows[1:]]),
-     "malformed row"),
+     _whole("malformed row: '0 0 1 1 1 1 ' where the writer writes degree 1 "
+            "key (0, 0, 1, 1)")),
     (lambda h, rows: _redigested(h, [rows[0].replace(" ", "  ", 1),
-                                     *rows[1:]]), "malformed row"),
+                                     *rows[1:]]),
+     _whole("malformed row: '0  0 1 1 1 1' where the writer writes degree 1 "
+            "key (0, 0, 1, 1)")),
     # the loader reads only the values; the comparison with the writer's
     # text rejects any other key, even with the row count unchanged
     (lambda h, rows: _redigested(h, [rows[0], "0 1 2 0 1 1", *rows[2:]]),
@@ -406,6 +438,11 @@ def _spliced(text, sep):
     (lambda h, rows: _redigested(h, [])[:-2],
      _whole("malformed row: '' where the writer writes degree 1 "
             "key (0, 0, 1, 1)")),
+    # the top degree's block is one row short: the empty piece after the
+    # final line end takes the last row's place, and no value reads from it
+    (lambda h, rows: _redigested(h, rows[:-1]),
+     _whole("malformed row: '' where the writer writes degree 3 "
+            "key (13, 0, 0, 0)")),
 ], ids=["empty", "header-not-json", "schema", "row-not-integers",
         "negative-value", "alpha-below-beta", "degree-0", "duplicate",
         "no-rows", "header-max-degree", "value-plus-sign",
@@ -420,7 +457,8 @@ def _spliced(text, sep):
         "header-max-degree-true", "header-max-degree-0",
         "header-max-degree-negative", "header-max-degree-huge",
         "negative-middle-value", "short-degree-no-final-newline",
-        "no-final-newline-names-last-row", "header-without-line-end"])
+        "no-final-newline-names-last-row", "header-without-line-end",
+        "last-row-deleted"])
 def test_every_loader_rejection(tmp_path, engine3, capsys, corrupt, message):
     path = tmp_path / "store.gw24"
     header, rows = _saved(path, engine3)
