@@ -9,16 +9,14 @@ Plain-text format, one line-delimited record per canonical key:
 Values are decimal strings, so counts of any magnitude round-trip.  The
 header binds the file to a seed set (a cache of other seeds is rejected,
 never reused) and carries a digest of the rows.  ``_header`` and ``_rows``
-define the file: a row is its key's ``_prefixes`` entry, built once per
-degree, followed by its value.  ``save_store`` writes their text, and a
-load checks a file against them in one pass (any ``tool_version``; text
-mode reads CRLF as LF), rejecting it by its header or by its first row
-that is not the writer's, named with the degree and key the writer puts
-there.  A load also re-derives a seeded sample of rows from fresh
-relations, over the degrees up to ``sample_through``: ``table`` and
-``invariant`` pass the highest degree they read, and ``verify`` and both
-cache commands pass 0, since the check each runs next covers every
-relation.
+define the file: ``save_store`` writes their text, and a load checks a
+file against them in one pass (any ``tool_version``; text mode reads CRLF
+as LF), rejecting it by its header or by its first row that is not the
+writer's, named with the degree and key the writer puts there.  A load
+also re-derives a seeded sample of rows from fresh relations, over the
+degrees up to ``sample_through``: ``table`` and ``invariant`` pass the
+highest degree they read, and ``verify`` and both cache commands pass 0,
+since the check each runs next covers every relation.
 Writes are atomic: temp file in the target directory, then rename.
 """
 
@@ -30,11 +28,9 @@ import os
 import random
 import tempfile
 from collections.abc import Iterable
-from functools import lru_cache
-from operator import add
 
 from .engine import InvariantStore
-from .keys import SeedSet, canonical_keys
+from .keys import SeedSet, Tuple4, canonical_keys
 from .wdvv import PsiCalculator, build_equation, equation_families
 
 SCHEMA_VERSION = 1
@@ -65,19 +61,26 @@ def _header(seed_set: SeedSet, tool_version: str, content_digest: str,
                        "max_degree": max_degree}, sort_keys=True)
 
 
-@lru_cache(maxsize=None)
-def _prefixes(degree: int) -> tuple[str, ...]:
-    """The writer's row of each canonical key of ``degree`` up to its
-    value, ``"a b g e d "``, in ``canonical_keys`` order; built once."""
-    return tuple(f"{a} {b} {g} {e} {degree} "
-                 for a, b, g, e in canonical_keys(degree)[0])
+def _rows(degree: int, keys: Iterable[Tuple4],
+          values: Iterable[int]) -> list[str]:
+    """The writer's rows of ``keys``, canonical keys of ``degree`` in
+    ``canonical_keys`` order, holding ``values``, without line ends.  A
+    key's entries and the degree are at most 4 * degree + 1, so a row joins
+    their texts, made once per call, with the text of its value; ``zip``
+    stops at the shorter input, so a load checks the row count itself."""
+    text = [f"{i} " for i in range(4 * degree + 2)]
+    d = text[degree]
+    return [f"{text[a]}{text[b]}{text[g]}{text[e]}{d}{v}"
+            for (a, b, g, e), v in zip(keys, values)]
 
 
-def _rows(degree: int, values: Iterable[int]) -> list[str]:
-    """The writer's rows of one degree, without line ends: ``values`` are
-    the values of its canonical keys in ``canonical_keys`` order.  ``map``
-    stops at the shorter of the two, so a load checks the row count."""
-    return list(map(add, _prefixes(degree), map(str, values)))
+def _value(row: str) -> int:
+    """The number after the last space of ``row``; -1, which the writer
+    never writes, if ``int`` cannot read it."""
+    try:
+        return int(row.rpartition(" ")[2])
+    except ValueError:
+        return -1
 
 
 def _render(store: InvariantStore, seed_set: SeedSet,
@@ -85,8 +88,8 @@ def _render(store: InvariantStore, seed_set: SeedSet,
     """The text of the cache file of ``store``."""
     rows = []
     for degree in store.degrees():
-        raw = store.raw_table(degree)
-        rows += _rows(degree, map(raw.__getitem__, canonical_keys(degree)[0]))
+        raw, keys = store.raw_table(degree), canonical_keys(degree)[0]
+        rows += _rows(degree, keys, map(raw.__getitem__, keys))
     header = _header(seed_set, tool_version, _content_digest(rows),
                      store.max_degree)
     return header + "\n" + "\n".join(rows) + "\n"
@@ -157,29 +160,26 @@ def load_store(path: str, seed_set: SeedSet, *,
     for degree in range(1, max_degree + 1):
         keys = canonical_keys(degree)[0]
         block = lines[start:start + len(keys)]
-        try:
-            values = [int(row.rpartition(" ")[2]) for row in block]
-        except ValueError:  # a value int() cannot read is no writer's row
-            break
+        values = list(map(_value, block))
         if (len(values) != len(keys) or min(values) < 0
-                or block != _rows(degree, values)):
+                or block != _rows(degree, keys, values)):
             break
         store.commit_degree(degree, dict(zip(keys, values)))
         start += len(keys)
     if store.max_degree != max_degree or lines[start:] != [""]:
         # the last piece of the split has no line end, so it is no writer's row
-        rows = lines[1:] or [""]
-        wanted = ((d, key, prefix) for d in range(1, max_degree + 1)
-                  for key, prefix in zip(canonical_keys(d)[0], _prefixes(d)))
-        for i, (row, (degree, key, prefix)) in enumerate(zip(rows, wanted)):
-            try:
-                value = int(row.rpartition(" ")[2])
-            except ValueError:
-                value = -1
-            if i == len(rows) - 1 or value < 0 or row != prefix + str(value):
-                raise CacheError(f"malformed row: {row!r} where the writer "
-                                 f"writes degree {degree} key {key}")
-        raise CacheError(f"malformed row: {rows[i + 1]!r} "
+        rows, i = lines[1:] or [""], 0
+        for degree in range(1, max_degree + 1):
+            keys = canonical_keys(degree)[0]
+            block = rows[i:i + len(keys)]
+            values = list(map(_value, block))
+            for row, key, value, want in zip(block, keys, values,
+                                             _rows(degree, keys, values)):
+                if i == len(rows) - 1 or value < 0 or row != want:
+                    raise CacheError(f"malformed row: {row!r} where the "
+                                     f"writer writes degree {degree} key {key}")
+                i += 1
+        raise CacheError(f"malformed row: {rows[i]!r} "
                          "where the writer's rows end")
 
     through = (max_degree if sample_through is None
