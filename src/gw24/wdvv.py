@@ -295,35 +295,35 @@ class PsiCalculator:
     orientations, with equal values (the Ta <-> Tb duality).  The
     constructor reads every table once into ``columns``, the one index of
     weight lines: ``columns[delta][gamma][d]`` is the line (gamma, delta)
-    of degree d as a tuple of values indexed by alpha, with beta =
-    4d + 1 - 2 gamma - 3 delta - alpha, None where d has none.  It is a snapshot of the degrees the tables hold then.
-    ``shifted_lines`` slices those lines by the targets a quantum third
-    partial feeds, for a relation's cross part at its own degree and for
-    ``series``.  Two evaluation modes for the
-    products: ``at`` sums the splittings of a single target as dot
-    products over windows of weight lines and Pascal rows (cheap for one
-    equation), from ``columns``, a set-up that ``_pair_setup`` builds once
-    per (sigma1, sigma2, degree) and the binomial windows of the last
-    target's (ta, tb), kept in a one-entry slot; ``series`` computes every
-    target of a weight class at once (cheap when a family needs them all),
-    as the lines of ``shifted_lines`` without their keys: every line of
-    the class, in the order of ``lines_of_weight``.  It multiplies the
-    ``packed_lines`` of the two factors pairwise, one integer product per
-    pair of lines, into one packed accumulator per output line, and divides
-    slot alpha of each by comb(R, alpha); ``slot_width`` derives the slot
-    width that keeps this exact, which needs every value to be nonnegative.
-    A pair's series is its dual pair's with every line reversed (alpha and
-    beta swapped), so each dual orbit is computed once.  Both kernels read
-    the binomials from ``pascal_rows``, ``series`` along its diagonals
-    (``pascal_diagonals``).  ``constant`` sums a
-    relation's products with ``at`` and memoizes the sum per (family,
-    target, degree), so the dual relation reads it instead of summing its
-    own.  All are pure given the tables, and all the products are
-    memoized; ``shifted_lines`` slices the index afresh on each call.
-    ``release`` forgets series and packed lines, which only the sole user
-    of an instance may do: the verifier, on its own instance.  An instance
-    that nothing releases from may be shared by concurrent readers from
-    construction.
+    of degree d as a tuple of values indexed by alpha, with beta = 4d + 1 -
+    2 gamma - 3 delta - alpha, None where d has none.  It is a snapshot of
+    the degrees the tables hold then.  ``shifted_lines`` slices those lines
+    by the targets a quantum third partial feeds, for a relation's cross
+    part at its own degree and for ``series``.  Two evaluation modes for the
+    products: ``at`` sums all the products of one relation at a single
+    target in one walk over its splittings, as dot products over windows of
+    weight lines and Pascal rows (cheap for one equation), from
+    ``columns``, a plan that ``_plan`` builds once per (products, degree)
+    and the binomial windows of the last target's (ta, tb), kept in a
+    one-entry slot; ``series`` computes every target of a weight class at
+    once (cheap when a family needs them all), as the lines of
+    ``shifted_lines`` without their keys: every line of the class, in the
+    order of ``lines_of_weight``.  It multiplies the ``packed_lines`` of the
+    two factors pairwise, one integer product per pair of lines, into one
+    packed accumulator per output line, and divides slot alpha of each by
+    comb(R, alpha); ``slot_width`` derives the slot width that keeps this
+    exact, which needs every value to be nonnegative.  A pair's series is
+    its dual pair's with every line reversed (alpha and beta swapped), so
+    each dual orbit is computed once.  Both kernels read the binomials from
+    ``pascal_rows``, ``series`` along its diagonals (``pascal_diagonals``).
+    ``constant`` takes a relation's constant from one ``at`` call and
+    memoizes it per (family, target, degree), so the dual relation reads it
+    instead of summing its own.  All are pure given the tables, and the
+    series and the constants are memoized; ``shifted_lines`` slices the
+    index afresh on each call.  ``release`` forgets series and packed
+    lines, which only the sole user of an instance may do: the verifier, on
+    its own instance.  An instance that nothing releases from may be shared
+    by concurrent readers from construction.
     """
 
     def __init__(self, tables: dict[int, dict[Tuple4, int]]):
@@ -340,9 +340,8 @@ class PsiCalculator:
         self._series: dict[tuple[int, Triple, Triple], Lines] = {}
         self._packed: dict[tuple[int, Triple, int], list] = {}
         self._widths: dict[int, int] = {}
-        self._setup: dict[tuple[Triple, Triple, int], tuple] = {}
-        # ((ta, tb), its binomial windows) of the last target of ``at``;
-        # ``constant`` calls it for all the products of one target in a row
+        self._plans: dict[tuple[tuple, int], tuple] = {}
+        # ((ta, tb), its binomial windows) of the last target of ``at``
         self._windows: tuple = (None, None)
         self._constants: dict[tuple[int, Tuple4, int], int] = {}
 
@@ -360,21 +359,25 @@ class PsiCalculator:
                 4 * degree + 1 - sa - sb - 2 * sg - 3 * se):
             yield (g, e, r), cols[e + se][g + sg][degree][sa:sa + r + 1]
 
-    def _pair_setup(self, sigma1: Triple, sigma2: Triple, degree: int):
-        """What ``at`` needs of one (sigma1, sigma2, degree), whatever the
-        target: the shift fields it reads, w1 (the first factor's shift
-        weight) and dpow[d1] = d1**n1 * (degree - d1)**n2.
-        (dpow stays per pair: a module-level table of it, filled during a
-        cache load and kept, held pymalloc arenas and raised peak RSS.)"""
-        (s1a, s1b, s1g, s1d), n1, _alive1 = triple_info(sigma1)
-        (_s2a, s2b, s2g, s2d), n2, _alive2 = triple_info(sigma2)
-        setup = (
-            s1a, s1g, s1d, s2b, s2g, s2d,
-            s1a + s1b + 2 * s1g + 3 * s1d,
-            [d1**n1 * (degree - d1) ** n2 for d1 in range(degree)],
-        )
-        self._setup[(sigma1, sigma2, degree)] = setup
-        return setup
+    def _plan(self, products, degree: int):
+        """What ``at`` needs of one relation's products at ``degree``,
+        whatever the target: the products grouped by w1 (the first factor's
+        shift weight), as (w1, members), each member the shift fields ``at``
+        reads and cdpow[d1] = coeff * d1**n1 * (degree - d1)**n2.
+        (The plan stays on the calculator: a module-level table of these
+        lists, filled during a cache load and kept, held pymalloc arenas
+        and raised peak RSS.)"""
+        groups: dict[int, list] = {}
+        for coeff, sigma1, sigma2 in products:
+            (s1a, s1b, s1g, s1d), n1, _alive1 = triple_info(sigma1)
+            (_s2a, s2b, s2g, s2d), n2, _alive2 = triple_info(sigma2)
+            groups.setdefault(s1a + s1b + 2 * s1g + 3 * s1d, []).append((
+                s1a, s1g, s1d, s2b, s2g, s2d,
+                [coeff * d1**n1 * (degree - d1) ** n2
+                 for d1 in range(degree)]))
+        plan = tuple(groups.items())
+        self._plans[products, degree] = plan
+        return plan
 
     @staticmethod
     def _binomial_windows(row_a, row_b):
@@ -392,25 +395,28 @@ class PsiCalculator:
             hi = r1 if r1 < ta else ta
             # comb(tb, b1) = row_b[tb - b1], which rises with a1
             off = tb - r1
-            w = list(map(mul, row_a[lo:hi + 1], row_b[lo + off:hi + off + 1]))
-            windows.append((lo, lo + off, hi - lo + 1, w[0] if lo == hi else w))
+            windows.append((lo, lo + off, hi - lo + 1, list(map(
+                mul, row_a[lo:hi + 1], row_b[lo + off:hi + off + 1]))
+                if lo < hi else row_a[lo] * row_b[lo + off]))
         return windows
 
-    def at(self, sigma1: Triple, sigma2: Triple, target: Tuple4, degree: int) -> int:
-        """Coefficient of the target monomial in the product of the two
-        quantum third-partial series, at total curve degree ``degree``.
+    def at(self, products, target: Tuple4, degree: int) -> int:
+        """Coefficient of the target monomial in sum coeff * (the product
+        of the two quantum third-partial series over sigma1 and sigma2) at
+        total curve degree ``degree``, over the (coeff, sigma1, sigma2) of
+        ``products``: a relation's ``EquationFamily.quantum``.
 
-        Each split (gamma1, delta1) of the target reads its factors'
-        ``columns`` once and indexes them by d1 and degree - d1.  Each d1 is
-        one window: a dot product of two line slices with binomials that
-        ``_binomial_windows`` builds per (ta, tb) and keeps for the next
-        call.  comb(tg, gamma1) comb(td, delta1) multiplies a split's sum
-        once.  Only degrees below ``degree`` are read, and results are not
-        memoized: few targets repeat."""
-        setup = self._setup.get((sigma1, sigma2, degree))
-        if setup is None:
-            setup = self._pair_setup(sigma1, sigma2, degree)
-        s1a, s1g, s1d, s2b, s2g, s2d, w1, dpow = setup
+        The splits (gamma1, delta1) of the target are walked once.  In a
+        split, the products of one ``_plan`` group share the d1 range, and
+        each d1 is one window: dot products of two line slices, one pair
+        per product, with binomials that ``_binomial_windows`` builds per
+        (ta, tb) and keeps for the next call.  comb(tg, gamma1) comb(td,
+        delta1) multiplies a split's sum once.  Only degrees below
+        ``degree`` are read, and results are not memoized: few targets
+        repeat."""
+        plan = self._plans.get((products, degree))
+        if plan is None:
+            plan = self._plan(products, degree)
         cols = self.columns
         ta, tb, tg, td = target
         # A target's entries are at most its weight, 4*degree + 1 or less.
@@ -424,37 +430,40 @@ class PsiCalculator:
         windows = slot[1]
         total = 0
         for d1v in range(td + 1):
+            d2v = td - d1v
             for g1 in range(tg + 1):
-                # The first factor's key (a1, b1, g1, d1v) + shift1 has
-                # weight 4*d1 + 1, so a1 + b1 = r1 = 4*d1 - base; the second
-                # factor takes the rest, so 0 <= r1 <= ta + tb bounds d1,
-                # and both factors' lines exist at every d1 of the range.
-                base = w1 + 2 * g1 + 3 * d1v - 1
-                d1_lo = -(-base // 4) or 1
-                d1_hi = (ta + tb + base) // 4
-                if d1_hi >= degree:
-                    d1_hi = degree - 1
-                if d1_lo > d1_hi:
-                    continue
-                col1 = cols[d1v + s1d][g1 + s1g]
-                col2 = cols[td - d1v + s2d][tg - g1 + s2g]
+                g2 = tg - g1
                 part = 0
-                for d1 in range(d1_lo, d1_hi + 1):
-                    line1 = col1[d1]
-                    line2 = col2[degree - d1]
-                    # a1 runs over the window of r1; the second factor's b2
-                    # rises with a1, and line2 is read at beta = b2 + s2b,
-                    # so both lines are slices.
-                    lo, b2, n, binomials = windows[4 * d1 - base]
-                    if n == 1:
-                        s = binomials * line1[lo + s1a] * line2[b2 + s2b]
-                    else:
-                        lo += s1a
-                        b2 += s2b
-                        s = sum(map(mul, binomials, map(
-                            mul, line1[lo:lo + n], line2[b2:b2 + n])))
-                    if s:
-                        part += dpow[d1] * s
+                for w1, members in plan:
+                    # The first factor's key (a1, b1, g1, d1v) + shift1 has
+                    # weight 4*d1 + 1, so a1 + b1 = r1 = 4*d1 - base; the
+                    # second factor takes the rest, so 0 <= r1 <= ta + tb
+                    # bounds d1, and both factors' lines exist at every d1
+                    # of the range.
+                    base = w1 + 2 * g1 + 3 * d1v - 1
+                    d1_lo = -(-base // 4) or 1
+                    d1_hi = (ta + tb + base) // 4
+                    if d1_hi >= degree:
+                        d1_hi = degree - 1
+                    for d1 in range(d1_lo, d1_hi + 1):
+                        # a1 runs over the window of r1 from lo; the second
+                        # factor's b2 rises with a1, and line2 is read at
+                        # beta = b2 + s2b, so both lines are slices.
+                        lo, b2, n, binomials = windows[4 * d1 - base]
+                        d2 = degree - d1
+                        if n == 1:
+                            for s1a, s1g, s1d, s2b, s2g, s2d, cdpow in members:
+                                line1 = cols[d1v + s1d][g1 + s1g][d1]
+                                line2 = cols[d2v + s2d][g2 + s2g][d2]
+                                part += cdpow[d1] * binomials * line1[
+                                    lo + s1a] * line2[b2 + s2b]
+                            continue
+                        for s1a, s1g, s1d, s2b, s2g, s2d, cdpow in members:
+                            line1 = cols[d1v + s1d][g1 + s1g][d1]
+                            line2 = cols[d2v + s2d][g2 + s2g][d2]
+                            a1, a2 = lo + s1a, b2 + s2b
+                            part += cdpow[d1] * sum(map(mul, binomials, map(
+                                mul, line1[a1:a1 + n], line2[a2:a2 + n])))
                 if part:
                     total += row_g[g1] * row_d[d1v] * part
         return total
@@ -462,7 +471,7 @@ class PsiCalculator:
     def constant(self, family: EquationFamily, target: Tuple4,
                  degree: int) -> int:
         """The constant of the relation of ``family`` at one target: the
-        sum of its quantum products there, each from ``at``.
+        sum of its quantum products there, from one ``at`` call.
 
         It is ``family.dual_sign`` times the constant of the dual family at
         the mirrored target, so that one is returned when it is memoized;
@@ -472,10 +481,7 @@ class PsiCalculator:
         known = self._constants.get((family.dual, (b, a, g, e), degree))
         if known is not None:
             return family.dual_sign * known
-        total = sum(
-            coeff * self.at(sigma1, sigma2, target, degree)
-            for coeff, sigma1, sigma2 in family.quantum
-        )
+        total = self.at(family.quantum, target, degree)
         self._constants[family.index, target, degree] = total
         return total
 

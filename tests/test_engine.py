@@ -158,8 +158,10 @@ def test_determinism_two_runs():
 def test_solve_through_degree9_does_fixed_work(monkeypatch):
     # the solver's work is pinned, so a faster solve cannot hide doing
     # less or other work: relations assembled, in order (a digest of their
-    # (family index, target, degree) sequence), product constants computed
-    # (each relation constant once per dual pair of relations), values
+    # (family index, target, degree) sequence), relation constants computed
+    # (one ``at`` call each, once per dual pair of relations: the 5,906
+    # relations less the 1,726 read from the dual's entry) and the quantum
+    # products those calls sum, values
     calls = Counter()
     assembled = []
 
@@ -173,12 +175,17 @@ def test_solve_through_degree9_does_fixed_work(monkeypatch):
         assembled.append((fam.index, target, degree))
         return build_equation(fam, target, degree, psi)
 
+    def products_counted(psi, products, target, degree):
+        calls["products"] += len(products)
+        return at(psi, products, target, degree)
+
+    at = PsiCalculator.at
     monkeypatch.setattr(engine_module, "build_equation",
                         counted("build_equation", recorded))
-    monkeypatch.setattr(PsiCalculator, "at", counted("at", PsiCalculator.at))
+    monkeypatch.setattr(PsiCalculator, "at", counted("at", products_counted))
     eng = Engine()
     eng.solve_up_to(9)
-    assert calls == {"build_equation": 5906, "at": 29999}
+    assert calls == {"build_equation": 5906, "at": 4180, "products": 29999}
     assert hashlib.sha256(repr(assembled).encode()).hexdigest() == (
         "ed6cc96fabe584cada6a24e11d1d9201d3268fb3c3160dac706160ecc79ddbb8")
     assert sum(len(eng.store.canonical_table(d)) for d in range(1, 10)) == 2925
@@ -190,7 +197,7 @@ def test_degree9_solve_heap_stays_small():
     # An untraced degree-9 solve, which commits nothing, first fills the
     # module's lru caches, and gc.collect() empties the free lists, as in
     # the exhaustive-check heap test below, so the peak is the same run
-    # alone, in this file and in the whole suite: 2.16 MiB (Python 3.11.7).
+    # alone, in this file and in the whole suite: 2.17 MiB (Python 3.11.7).
     # Unwarmed, it read 1.97 MiB alone and 1.84 MiB in the suite
     eng = Engine()
     eng.solve_up_to(8)

@@ -271,9 +271,8 @@ def test_constant_paths_agree():
             seen.add(pair)
             series = series_entries(psi, sigma1, sigma2, 3)
             for target in tuples_of_weight(w):
-                assert psi.at(sigma1, sigma2, target, 3) == series.get(
-                    target, 0
-                ), (sigma1, sigma2, target)
+                assert psi.at(((1, sigma1, sigma2),), target, 3) == (
+                    series.get(target, 0)), (sigma1, sigma2, target)
     assert seen
 
 
@@ -456,16 +455,50 @@ def test_at_matches_naive_series(tables5, degree):
         for target in tuples_of_weight(w):
             a, b, g, e = target
             expected = ref.get((b, a, g, e) if swap else target, 0)
-            assert psi.at(sigma1, sigma2, target, degree) == expected, (
-                sigma1, sigma2, target)
+            assert psi.at(((1, sigma1, sigma2),), target, degree) == (
+                expected), (sigma1, sigma2, target)
             if sigma1 == (1, 1, 1):
                 # the product is symmetric; with the shift-free triple
                 # second, only the kernel's cap keeps d1 below ``degree``
-                assert psi.at(sigma2, sigma1, target, degree) == expected
+                assert psi.at(((1, sigma2, sigma1),), target, degree) == (
+                    expected)
             if b == 0 and expected:
                 # every window of the kernel is a single element here
                 beta_zero_hits += 1
     assert beta_zero_hits
+
+
+@pytest.mark.parametrize("degree", [2, 3, 4, 5, 6])
+def test_at_sums_a_relations_products_in_one_walk(tables5, degree):
+    # one call over a relation's products is the sum of one call per
+    # product, on a fresh instance, for every family at every target of its
+    # weight class; so is one over a tuple that also holds the mirror of
+    # each pair with the shift-free triple first, that triple then second:
+    # in a group of its own, where only the kernel's cap keeps d1 below
+    # ``degree``
+    fused = PsiCalculator(tables5)
+    single = PsiCalculator(tables5)
+
+    def by_product(products, target):
+        return sum(c * single.at(((1, s1, s2),), target, degree)
+                   for c, s1, s2 in products)
+
+    mirrored = 0
+    for fam in equation_families():
+        if fam.target_weight(degree) < 0:
+            continue
+        mirror = tuple(
+            (3 * c, s2, s1) for c, s1, s2 in fam.quantum if s1 == (1, 1, 1))
+        for target in tuples_of_weight(fam.target_weight(degree)):
+            assert fused.at(fam.quantum, target, degree) == by_product(
+                fam.quantum, target), (fam.label(), target)
+            if mirror:
+                both = fam.quantum + mirror
+                expected = by_product(both, target)
+                assert fused.at(both, target, degree) == expected, (
+                    fam.label(), target)
+                mirrored += expected != 0
+    assert mirrored
 
 
 def race(work, count=6):
@@ -495,10 +528,10 @@ def race(work, count=6):
 
 
 def test_at_is_safe_to_share_between_threads(tables5):
-    # ``at`` fills its set-up and line memos lazily; threads racing on one
-    # fresh instance must get the serial answers
+    # ``at`` fills its plan memo lazily; threads racing on one fresh
+    # instance must get the serial answers
     jobs = [
-        (sigma1, sigma2, target, degree)
+        (((1, sigma1, sigma2),), target, degree)
         for degree in (4, 5, 6)
         for fam in equation_families()[::4] if fam.target_weight(degree) >= 0
         for _c, sigma1, sigma2 in fam.quantum
@@ -517,9 +550,9 @@ def test_at_window_slot_is_safe_to_share_between_threads(tables5):
     fam = max(equation_families(), key=lambda f: len(f.quantum))
     targets = tuples_of_weight(fam.target_weight(6))
     mixed = [t for pair in zip(targets, reversed(targets)) for t in pair]
-    jobs = [(sigma1, sigma2, target, 6)
+    jobs = [(((1, sigma1, sigma2),), target, 6)
             for target in mixed[::3] for _c, sigma1, sigma2 in fam.quantum]
-    assert len({job[2][:2] for job in jobs}) > 20
+    assert len({job[1][:2] for job in jobs}) > 20
     expected = [PsiCalculator(tables5).at(*job) for job in jobs]
     shared = PsiCalculator(tables5)
     starts = iter([k * len(jobs) // 6 for k in range(6)])
@@ -591,8 +624,9 @@ def test_constants_are_computed_once_per_dual_pair(tables5, degree):
     fams = equation_families()
     direct = PsiCalculator(tables5)
     expected = {
-        (fam.index, target): sum(c * direct.at(s1, s2, target, degree)
-                                 for c, s1, s2 in fam.quantum)
+        (fam.index, target): sum(
+            c * direct.at(((1, s1, s2),), target, degree)
+            for c, s1, s2 in fam.quantum)
         for fam in fams
         for target in tuples_of_weight(fam.target_weight(degree))
     }
@@ -694,8 +728,9 @@ def test_at_reads_only_degrees_below_its_own(tables9):
             for target in tuples_of_weight(fam.target_weight(degree))[::13]:
                 for _c, sigma1, sigma2 in fam.quantum:
                     for pair in ((sigma1, sigma2), (sigma2, sigma1)):
-                        assert psi.at(*pair, target, degree) == full.at(
-                            *pair, target, degree), (pair, target)
+                        products = ((1, *pair),)
+                        assert psi.at(products, target, degree) == full.at(
+                            products, target, degree), (pair, target)
                         calls += 1
     assert len(psi.columns[0][0]) == 9 and len(full.columns[0][0]) == 10
     assert calls > 5000
@@ -706,7 +741,7 @@ def test_at_vanishes_at_degree_one(tables5):
     for fam in equation_families():
         for _coeff, sigma1, sigma2 in fam.quantum:
             for target in tuples_of_weight(fam.target_weight(1)):
-                assert psi.at(sigma1, sigma2, target, 1) == 0
+                assert psi.at(((1, sigma1, sigma2),), target, 1) == 0
 
 
 def test_generate_equations_requires_lower_degrees():
