@@ -10,9 +10,10 @@ Values are decimal strings, so counts of any magnitude round-trip.  The
 header binds the file to a seed set (a cache of other seeds is rejected,
 never reused) and carries a digest of the rows.  ``_header`` and ``_rows``
 define the file: ``save_store`` writes their text, and a load checks a
-file against them in one pass (any ``tool_version``; text mode reads CRLF
-as LF), rejecting it by its header or by its first row that is not the
-writer's, named with the degree and key the writer puts there.  A load
+file against them (any ``tool_version``; text mode reads CRLF as LF),
+rejecting it by its header or by its first row that is not the writer's,
+named with the degree and key the writer puts there: one walk over the
+degrees accepts each degree's rows or names its first bad row.  A load
 also re-derives a seeded sample of rows from fresh relations, over the
 degrees up to ``sample_through``: ``table`` and ``invariant`` pass the
 highest degree they read, and ``verify`` and both cache commands pass 0,
@@ -114,12 +115,12 @@ def save_store(store: InvariantStore, path: str, seed_set: SeedSet,
 
 def load_store(path: str, seed_set: SeedSet, *,
                sample_through: int | None = None) -> InvariantStore:
-    """The store of the cache file at ``path``, read in one pass against
-    ``_header`` and ``_rows``; ``CacheError`` if the file is not the text
-    ``save_store`` writes for ``seed_set``, or if a sampled row of degree
-    at most ``sample_through`` (every degree of the file if None, none if
-    0) fails ``_verify_sample``.  Rows of a higher degree are checked only
-    against the digest and the writer's form."""
+    """The store of the cache file at ``path``, checked against ``_header``
+    and ``_rows`` in one walk over the degrees; ``CacheError`` if the file
+    is not the text ``save_store`` writes for ``seed_set``, or if a sampled
+    row of degree at most ``sample_through`` (every degree of the file if
+    None, none if 0) fails ``_verify_sample``.  Rows of a higher degree
+    are checked only against the digest and the writer's form."""
     with open(path, "r", encoding="utf-8") as handle:
         try:
             raw = handle.read()
@@ -156,30 +157,28 @@ def load_store(path: str, seed_set: SeedSet, *,
     if lines[0] != want:
         raise CacheError(f"malformed header: {lines[0]!r} "
                          f"where the writer writes {want!r}")
-    store, start = InvariantStore(), 1
+    # the rows lie between the header line and the last piece of the split,
+    # the one after the final line end, which has no line end of its own
+    store, start, end = InvariantStore(), 1, len(lines) - 1
     for degree in range(1, max_degree + 1):
         keys = canonical_keys(degree)[0]
-        block = lines[start:start + len(keys)]
+        block = lines[start:min(start + len(keys), end)]
         values = list(map(_value, block))
-        if (len(values) != len(keys) or min(values) < 0
-                or block != _rows(degree, keys, values)):
-            break
-        store.commit_degree(degree, dict(zip(keys, values)))
-        start += len(keys)
-    if store.max_degree != max_degree or lines[start:] != [""]:
-        # the last piece of the split has no line end, so it is no writer's row
-        rows, i = lines[1:] or [""], 0
-        for degree in range(1, max_degree + 1):
-            keys = canonical_keys(degree)[0]
-            block = rows[i:i + len(keys)]
-            values = list(map(_value, block))
-            for row, key, value, want in zip(block, keys, values,
-                                             _rows(degree, keys, values)):
-                if i == len(rows) - 1 or value < 0 or row != want:
+        rows = _rows(degree, keys, values)
+        if len(block) < len(keys) or min(values) < 0 or block != rows:
+            # a short block ends at the last piece, or at the end of a header
+            # with no line end: either takes the missing row's place, with
+            # no value, so it is never the writer's row
+            for row, key, value, want in zip(
+                    block + [lines[end] if end else ""], keys, values + [-1],
+                    rows + [None]):
+                if value < 0 or row != want:
                     raise CacheError(f"malformed row: {row!r} where the "
                                      f"writer writes degree {degree} key {key}")
-                i += 1
-        raise CacheError(f"malformed row: {rows[i]!r} "
+        store.commit_degree(degree, dict(zip(keys, values)))
+        start += len(keys)
+    if lines[start:] != [""]:
+        raise CacheError(f"malformed row: {lines[start]!r} "
                          "where the writer's rows end")
 
     through = (max_degree if sample_through is None
@@ -208,8 +207,6 @@ def _verify_sample(store: InvariantStore, through: int) -> None:
             for fam in families:
                 if checked >= _SAMPLE_EQUATIONS_PER_ROW:
                     break
-                if fam.target_weight(degree) < 0:
-                    continue
                 targets = [
                     (key[0] - sa, key[1] - sb, key[2] - sg, key[3] - se)
                     for _c, _sigma, (sa, sb, sg, se), _n1 in fam.cross

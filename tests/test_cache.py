@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import json
 import os
@@ -443,6 +444,15 @@ def _spliced(text, sep):
     (lambda h, rows: _redigested(h, rows[:-1]),
      _whole("malformed row: '' where the writer writes degree 3 "
             "key (13, 0, 0, 0)")),
+    # two faults: the first in file order is named
+    (lambda h, rows: _redigested(h, [rows[0].rsplit(" ", 1)[0] + " -1",
+                                     *rows[1:], "1 2 3 4 5 6"]),
+     _whole("malformed row: '0 0 1 1 1 -1' where the writer writes degree 1 "
+            "key (0, 0, 1, 1)")),
+    (lambda h, rows: _redigested(h, [*rows[:9], rows[9].replace(" ", "  ", 1),
+                                     *rows[10:-1]]),
+     _whole("malformed row: '0  0 0 3 2 1' where the writer writes degree 2 "
+            "key (0, 0, 0, 3)")),
 ], ids=["empty", "header-not-json", "schema", "row-not-integers",
         "negative-value", "alpha-below-beta", "degree-0", "duplicate",
         "no-rows", "header-max-degree", "value-plus-sign",
@@ -458,7 +468,8 @@ def _spliced(text, sep):
         "header-max-degree-negative", "header-max-degree-huge",
         "negative-middle-value", "short-degree-no-final-newline",
         "no-final-newline-names-last-row", "header-without-line-end",
-        "last-row-deleted"])
+        "last-row-deleted", "negative-value-and-row-past-the-end",
+        "doubled-space-and-last-row-deleted"])
 def test_every_loader_rejection(tmp_path, engine3, capsys, corrupt, message):
     path = tmp_path / "store.gw24"
     header, rows = _saved(path, engine3)
@@ -472,7 +483,8 @@ def test_every_loader_rejection(tmp_path, engine3, capsys, corrupt, message):
 def test_every_edit_is_rejected_or_is_the_writers_text(tmp_path, engine3):
     # seeded edits of 1-3 characters, most with the row digest recomputed:
     # a load raises CacheError or returns the store the file is the
-    # writer's text of, under the header's tool_version
+    # writer's text of, under the header's tool_version.  A rejected row is
+    # a piece of the file after its header line, or '' if there is none
     path = tmp_path / "store.gw24"
     save_store(engine3.store, str(path), engine3.seed_set, __version__)
     text = path.read_text()
@@ -491,12 +503,17 @@ def test_every_edit_is_rejected_or_is_the_writers_text(tmp_path, engine3):
             edited = edited.replace(digest, hashlib.sha256(
                 "\n".join(rows).encode()).hexdigest())
         path.write_text(edited, encoding="utf-8", newline="")
+        loaded = path.read_text(encoding="utf-8")
         try:
             store = load_store(str(path), engine3.seed_set,
                                sample_through=0)
-        except CacheError:
+        except CacheError as exc:
+            message = str(exc)
+            if message.startswith("malformed row: "):
+                named = ast.literal_eval(message[len("malformed row: "):]
+                                         .rpartition(" where the writer")[0])
+                assert named in loaded.split("\n")[1:] or named == "", message
             continue
-        loaded = path.read_text(encoding="utf-8")
         version = json.loads(loaded.split("\n", 1)[0])["tool_version"]
         assert _render(store, engine3.seed_set, version) == loaded
 
