@@ -12,7 +12,8 @@ Run:  python demos/wdvv_relations_walkthrough.py
 """
 
 from gw24 import Engine
-from gw24.wdvv import PsiCalculator, build_equation, equation_families
+from gw24.relations import build_equation, equation_families
+from gw24.wdvv import PsiCalculator
 
 engine = Engine()
 engine.solve_up_to(2)

@@ -28,6 +28,7 @@ from .keys import (
     dimension_valid,
     valid_tuples,
 )
+from .relations import WdvvEquation, equation_families
 from .schubert import (
     QuantumClassCombination,
     classical_pieri,
@@ -37,7 +38,6 @@ from .schubert import (
 )
 from .table import GOLDEN_Q, DegreeTableRow, build_rows
 from .verify import Violation, WdvvReport, verify_store
-from .wdvv import WdvvEquation, equation_families
 
 __version__ = "0.1.0"
 

@@ -32,7 +32,8 @@ from collections.abc import Iterable
 
 from .engine import InvariantStore
 from .keys import SeedSet, Tuple4, canonical_keys
-from .wdvv import PsiCalculator, build_equation, equation_families
+from .relations import build_equation, equation_families
+from .wdvv import PsiCalculator
 
 SCHEMA_VERSION = 1
 _SAMPLE_ROWS_PER_DEGREE = 4
@@ -45,7 +46,9 @@ class CacheError(Exception):
 
 
 def seed_digest(seed_set: SeedSet) -> str:
-    return hashlib.sha256(seed_set.serialize().encode()).hexdigest()
+    items = sorted(seed_set.entries.items())
+    return _content_digest(_rows(1, [k[:4] for k, _v in items],
+                                 [v for _k, v in items]))
 
 
 def _content_digest(lines: list[str]) -> str:
@@ -64,11 +67,11 @@ def _header(seed_set: SeedSet, tool_version: str, content_digest: str,
 
 def _rows(degree: int, keys: Iterable[Tuple4],
           values: Iterable[int]) -> list[str]:
-    """The writer's rows of ``keys``, canonical keys of ``degree`` in
-    ``canonical_keys`` order, holding ``values``, without line ends.  A
-    key's entries and the degree are at most 4 * degree + 1, so a row joins
-    their texts, made once per call, with the text of its value; ``zip``
-    stops at the shorter input, so a load checks the row count itself."""
+    """The writer's rows of ``keys``, keys of ``degree`` in the given
+    order, holding ``values``, without line ends.  A key's entries and the
+    degree are at most 4 * degree + 1, so a row joins their texts, made
+    once per call, with the text of its value; ``zip`` stops at the
+    shorter input, so a load checks the row count itself."""
     text = [f"{i} " for i in range(4 * degree + 2)]
     d = text[degree]
     return [f"{text[a]}{text[b]}{text[g]}{text[e]}{d}{v}"

@@ -22,20 +22,20 @@ from typing import Iterator, NamedTuple
 from .keys import (
     InvariantKey,
     SeedSet,
+    Tuple4,
     canonical_keys,
     dimension_valid,
     tuples_of_weight,
 )
-from .schubert import seed_invariants
-from .verify import WdvvReport, verify_store
-from .wdvv import (
-    PsiCalculator,
-    Tuple4,
+from .relations import (
     WdvvEquation,
     build_equation,
     degree_one_failures,
     equation_families,
 )
+from .schubert import seed_invariants
+from .verify import WdvvReport, verify_store
+from .wdvv import PsiCalculator
 
 
 class EngineError(Exception):

@@ -86,7 +86,8 @@ class SeedSet:
 
     Entries are raw (non-normalized) keys; symmetric images are listed
     explicitly and must agree.  Construction raises ValueError on a key
-    that is not a dimension-valid degree-1 key or on disagreeing images.
+    that is not a dimension-valid degree-1 key, on a key with a negative
+    entry or on disagreeing images.
     """
 
     entries: dict[InvariantKey, int]
@@ -98,6 +99,8 @@ class SeedSet:
             canon = normalize(key)
             if canon.degree != 1:
                 raise ValueError(f"seed {canon} is not a degree-1 key")
+            if min(canon) < 0:
+                raise ValueError(f"seed {canon} has a negative entry")
             if not dimension_valid(canon):
                 raise ValueError(
                     f"seed {canon} violates the dimension condition"
@@ -110,10 +113,3 @@ class SeedSet:
 
     def canonical_entries(self) -> dict[InvariantKey, int]:
         return {normalize(key): value for key, value in self.entries.items()}
-
-    def serialize(self) -> str:
-        lines = [
-            f"{k.alpha} {k.beta} {k.gamma} {k.delta} {k.degree} {v}"
-            for k, v in sorted(self.entries.items())
-        ]
-        return "\n".join(lines)

@@ -22,7 +22,7 @@ from itertools import combinations_with_replacement, product
 from .cohomology import (Basis, ClassCombination, cup, cup_combination,
                          pairing, triple)
 from .keys import InvariantKey, SeedSet
-from .wdvv import degree_one_failures
+from .relations import degree_one_failures
 
 Partition = tuple[int, ...]
 

@@ -21,14 +21,8 @@ from math import factorial
 from operator import attrgetter, itemgetter, mul
 
 from .keys import Tuple4, lines_of_weight
-from .wdvv import (
-    QUANTUM_CLASSES,
-    PsiCalculator,
-    Triple,
-    dual_pair,
-    equation_families,
-    triple_info,
-)
+from .relations import QUANTUM_CLASSES, equation_families
+from .wdvv import PsiCalculator, Triple, dual_pair, triple_info
 
 # The (Ta, Tb) parts of the shifts: sa + sb <= 3.
 _AB_SHIFTS = tuple((sa, s - sa) for s in range(4) for sa in range(s + 1))

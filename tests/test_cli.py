@@ -33,11 +33,12 @@ def run(capsys, *argv):
 
 
 # Seed-table defects as (id, entry, value, message).  The first breaks the
-# associativity cross-check of the seeds; SeedSet rejects the other two.
+# associativity cross-check of the seeds; SeedSet rejects the others.
 SEED_DEFECTS = [
     ("", (1, 0, 2, 0), 2, "seed table fails the associativity cross-check"),
     ("asymmetric", (0, 2, 0, 1), 1, "seed set inconsistent under symmetry"),
     ("dimension", (1, 0, 0, 0), 1, "violates the dimension condition"),
+    ("negative", (6, -1, 0, 0), 0, "has a negative entry"),
 ]
 
 

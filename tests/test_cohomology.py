@@ -132,3 +132,11 @@ def test_plucker_degree_of_grassmannian():
         for c2, v2 in t1_squared.coeffs.items()
     )
     assert total == 2
+
+
+def test_class_combination_repr():
+    assert repr(ClassCombination.zero()) == "0"
+    assert repr(ClassCombination.of(T3)) == "T3"
+    # by basis order, and a coefficient of 1 is not written
+    assert repr(ClassCombination({TB: 1, TA: 2})) == "2*Ta + Tb"
+    assert repr(ClassCombination({T4: -1, T0: 3})) == "3*T0 + -1*T4"

@@ -35,17 +35,15 @@ from gw24.keys import (
     tuples_of_weight,
     valid_tuples,
 )
-from gw24.schubert import seed_invariants
-from gw24.verify import verify_store
-from gw24.wdvv import (
-    DUAL,
-    PsiCalculator,
+from gw24.relations import (
     WdvvEquation,
     build_equation,
     degree_one_failures,
-    dual_pair,
     equation_families,
 )
+from gw24.schubert import seed_invariants
+from gw24.verify import verify_store
+from gw24.wdvv import DUAL, PsiCalculator, dual_pair
 
 
 @pytest.fixture(scope="module")

@@ -21,20 +21,16 @@ import pytest
 from gw24.cohomology import CODIM, Basis, pairing, triple
 from gw24.engine import Engine, MissingValueError, solve_order
 from gw24.keys import lines_of_weight, tuples_of_weight
-from gw24.wdvv import (
-    DUAL,
+from gw24.relations import (
     ORIENTED_PAIRS,
     QUANTUM_CLASSES,
-    PsiCalculator,
     _pairing_structure,
     _resolve_quadruple,
     build_equation,
-    dual_pair,
     equation_families,
-    pascal_row,
     relation_terms,
-    triple_info,
 )
+from gw24.wdvv import DUAL, PsiCalculator, dual_pair, pascal_row, triple_info
 
 
 def family(classes):
@@ -93,8 +89,9 @@ def test_unit_free():
 
 
 def test_ring_constants_match_the_cohomology_tables():
-    # wdvv restates these from the classical ring; verify checks that ring
-    # against the Schubert oracle through the cohomology tables
+    # relations and wdvv restate these from the classical ring; verify
+    # checks that ring against the Schubert oracle through the cohomology
+    # tables
     assert len(set(ORIENTED_PAIRS)) == len(ORIENTED_PAIRS)
     assert set(ORIENTED_PAIRS) == {
         (e, f) for e, f in product(Basis, repeat=2) if pairing(e, f) == 1
@@ -753,3 +750,13 @@ def test_generate_equations_requires_lower_degrees():
 def test_generate_equations_degree_zero_empty():
     eng = Engine()
     assert list(eng.generate_equations(0)) == []
+
+
+def test_family_labels_name_the_quadruple_in_its_order():
+    fams = equation_families()
+    assert fams[0].label() == "(T1,T1,Ta,Ta)"
+    # the quadruple is an ordering of the classes, not the sorted classes
+    assert fams[14].classes == (1, 2, 3, 4)
+    assert fams[14].label() == "(T1,Ta,T3,Tb)"
+    assert fams[-1].label() == "(T3,T3,T4,T4)"
+    assert len({fam.label() for fam in fams}) == len(fams)

@@ -88,7 +88,11 @@ def test_canonical_tuples_are_canonical():
     ({InvariantKey(1, 0, 0, 0, 1): 1}, "violates the dimension condition"),
     ({InvariantKey(2, 0, 0, 1, 1): 0, InvariantKey(0, 2, 0, 1, 1): 1},
      r"inconsistent under symmetry at .*: 0 vs 1"),
-], ids=["degree-2", "dimension-invalid", "asymmetric"])
+    # weight 5, so dimension-valid; the cache's rows have no text for -1
+    ({InvariantKey(0, 0, 1, 1, 1): 1, InvariantKey(6, -1, 0, 0, 1): 0},
+     re.escape("seed InvariantKey(alpha=6, beta=-1, gamma=0, delta=0, "
+               "degree=1) has a negative entry")),
+], ids=["degree-2", "dimension-invalid", "asymmetric", "negative-entry"])
 def test_seed_set_rejects_bad_keys_at_construction(entries, message):
     with pytest.raises(ValueError, match=message):
         SeedSet(entries=entries, provenance_note="test")

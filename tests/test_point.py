@@ -4,8 +4,9 @@ from math import factorial
 import pytest
 
 from gw24.engine import Engine
+from gw24.relations import equation_families
 from gw24.verify import _is_prime, point_factors
-from gw24.wdvv import equation_families, triple_info
+from gw24.wdvv import triple_info
 
 
 @pytest.fixture(scope="module")

@@ -7,6 +7,7 @@ from gw24 import cohomology, schubert
 from gw24.cli import main
 from gw24.cohomology import Basis, ClassCombination, codim, triple
 from gw24.keys import InvariantKey
+from gw24.relations import equation_families
 from gw24.schubert import (
     CLASS_OF_PARTITION,
     PARTITION_OF_CLASS,
@@ -19,7 +20,6 @@ from gw24.schubert import (
     quantum_pieri,
     seed_invariants,
 )
-from gw24.wdvv import equation_families
 
 T0, T1, TA, TB, T3, T4 = Basis
 

@@ -14,14 +14,9 @@ import pytest
 import sympy as sp
 
 from gw24.engine import Engine
-from gw24.keys import valid_tuples
-from gw24.wdvv import (
-    ORIENTED_PAIRS,
-    PsiCalculator,
-    build_equation,
-    equation_families,
-    tuples_of_weight,
-)
+from gw24.keys import tuples_of_weight, valid_tuples
+from gw24.relations import ORIENTED_PAIRS, build_equation, equation_families
+from gw24.wdvv import PsiCalculator
 
 y0, y1, ya, yb, y3, y4 = sp.symbols("y0 y1 ya yb y3 y4")
 Q = sp.Symbol("Q", positive=True)
