@@ -119,11 +119,11 @@ class PsiCalculator:
     target in one walk over its splittings, as dot products over windows of
     weight lines and Pascal rows (cheap for one equation), from
     ``columns``, a plan that ``_plan`` builds once per (products, degree)
-    and the binomial windows of the last target's (ta, tb), kept in a
-    one-entry slot; ``series`` computes every target of a weight class at
-    once (cheap when a family needs them all), as the lines of
-    ``shifted_lines`` without their keys: every line of the class, in the
-    order of ``lines_of_weight``.  It multiplies the ``packed_lines`` of the
+    and the binomial windows of the target's (ta, tb), built on each call;
+    ``series`` computes every target of a weight class at once (cheap when
+    a family needs them all), as the lines of ``shifted_lines`` without
+    their keys: every line of the class, in the order of
+    ``lines_of_weight``.  It multiplies the ``packed_lines`` of the
     two factors pairwise, one integer product per pair of lines, into one
     packed accumulator per output line, and divides slot alpha of each by
     comb(R, alpha); ``slot_width`` derives the slot width that keeps this
@@ -156,8 +156,6 @@ class PsiCalculator:
         self._packed: dict[tuple[int, Triple, int], list] = {}
         self._widths: dict[int, int] = {}
         self._plans: dict[tuple[tuple, int], tuple] = {}
-        # ((ta, tb), its binomial windows) of the last target of ``at``
-        self._windows: tuple = (None, None)
         self._constants: dict[tuple[int, Tuple4, int], int] = {}
 
     def shifted_lines(self, degree: int, sigma: Triple):
@@ -200,9 +198,7 @@ class PsiCalculator:
         its Pascal rows: indexed by r1 = a1 + b1, (lo, b, n, w), where a1
         runs over the n values from lo (a1 <= ta, b1 <= tb), b2 = tb - b1
         from b, and w lists comb(ta, a1) comb(tb, b1), or is that one
-        number when n == 1.  (A list: a tuple built from an iterator is
-        resized off its size's free list, so replaced slots would pile up
-        free tuples.)"""
+        number when n == 1."""
         ta, tb = len(row_a) - 1, len(row_b) - 1
         windows = []
         for r1 in range(ta + tb + 1):
@@ -224,8 +220,8 @@ class PsiCalculator:
         The splits (gamma1, delta1) of the target are walked once.  In a
         split, the products of one ``_plan`` group share the d1 range, and
         each d1 is one window: dot products of two line slices, one pair
-        per product, with binomials that ``_binomial_windows`` builds per
-        (ta, tb) and keeps for the next call.  comb(tg, gamma1) comb(td,
+        per product, with binomials that ``_binomial_windows`` builds for
+        the target's (ta, tb) on each call.  comb(tg, gamma1) comb(td,
         delta1) multiplies a split's sum once.  Only degrees below
         ``degree`` are read, and results are not memoized: few targets
         repeat."""
@@ -237,12 +233,7 @@ class PsiCalculator:
         # A target's entries are at most its weight, 4*degree + 1 or less.
         rows = pascal_rows(4 * degree + 2)
         row_g, row_d = rows[tg], rows[td]
-        # Replaced whole, so a concurrent reader holds a matching pair.
-        slot = self._windows
-        if slot[0] != (ta, tb):
-            slot = self._windows = (
-                (ta, tb), self._binomial_windows(rows[ta], rows[tb]))
-        windows = slot[1]
+        windows = self._binomial_windows(rows[ta], rows[tb])
         total = 0
         for d1v in range(td + 1):
             d2v = td - d1v
@@ -283,10 +274,10 @@ class PsiCalculator:
                     total += row_g[g1] * row_d[d1v] * part
         return total
 
-    def constant(self, family: EquationFamily, target: Tuple4,
-                 degree: int) -> int:
-        """The constant of the relation of ``family`` at one target: the
-        sum of its quantum products there, from one ``at`` call.
+    def constant(self, family, target: Tuple4, degree: int) -> int:
+        """The constant of the relation of ``family``, a
+        ``relations.EquationFamily``, at one target: the sum of its quantum
+        products there, from one ``at`` call.
 
         It is ``family.dual_sign`` times the constant of the dual family at
         the mirrored target, so that one is returned when it is memoized;

@@ -367,7 +367,7 @@ def test_verify_reports_violated_relations_and_golden_mismatch(
 
 def test_verify_corrupted_cache_exits_2(capsys, cache3, tmp_path):
     corrupted = tmp_path / "bad.gw24"
-    text = open(cache3).read().replace(" 3 504", " 3 505")
+    text = Path(cache3).read_text().replace(" 3 504", " 3 505")
     corrupted.write_text(text)
     code, _out, err = run(capsys, "verify", "--max-degree", "3",
                           "--cache-path", str(corrupted))
@@ -388,7 +388,7 @@ def test_cache_export_import(capsys, tmp_path):
 
 def test_cache_import_tampered_exits_2(capsys, cache3, tmp_path):
     bad = tmp_path / "tampered.gw24"
-    bad.write_text(open(cache3).read().replace(" 3 504", " 3 503"))
+    bad.write_text(Path(cache3).read_text().replace(" 3 504", " 3 503"))
     code, _out, err = run(capsys, "cache", "import", "--cache-path", str(bad))
     assert code == 2
     assert "digest" in err

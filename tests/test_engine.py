@@ -190,12 +190,12 @@ def test_solve_through_degree9_does_fixed_work(monkeypatch):
 
 
 def test_degree9_solve_heap_stays_small():
-    # the relation order is held as shared per-cost target lists and the
-    # window binomials in one slot, so the solve's own heap stays small.
-    # An untraced degree-9 solve, which commits nothing, first fills the
-    # module's lru caches, and gc.collect() empties the free lists, as in
-    # the exhaustive-check heap test below, so the peak is the same run
-    # alone, in this file and in the whole suite: 2.17 MiB (Python 3.11.7).
+    # the relation order is held as shared per-cost target lists, so the
+    # solve's own heap stays small.  An untraced degree-9 solve, which
+    # commits nothing, first fills the module's lru caches, and
+    # gc.collect() empties the free lists, as in the exhaustive-check heap
+    # test below, so the peak is the same run alone, in this file and in
+    # the whole suite: 2.15 MiB (Python 3.11.7).
     # Unwarmed, it read 1.97 MiB alone and 1.84 MiB in the suite
     eng = Engine()
     eng.solve_up_to(8)

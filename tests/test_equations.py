@@ -540,29 +540,6 @@ def test_at_is_safe_to_share_between_threads(tables5):
     assert race(lambda: [shared.at(*job) for job in jobs]) == [expected] * 6
 
 
-def test_at_window_slot_is_safe_to_share_between_threads(tables5):
-    # ``at`` keeps the binomial windows of its last target's (ta, tb) in
-    # one slot; threads that start at different places of a job list whose
-    # consecutive targets differ in (ta, tb) replace it under each other
-    fam = max(equation_families(), key=lambda f: len(f.quantum))
-    targets = tuples_of_weight(fam.target_weight(6))
-    mixed = [t for pair in zip(targets, reversed(targets)) for t in pair]
-    jobs = [(((1, sigma1, sigma2),), target, 6)
-            for target in mixed[::3] for _c, sigma1, sigma2 in fam.quantum]
-    assert len({job[1][:2] for job in jobs}) > 20
-    expected = [PsiCalculator(tables5).at(*job) for job in jobs]
-    shared = PsiCalculator(tables5)
-    starts = iter([k * len(jobs) // 6 for k in range(6)])
-
-    def work():
-        k = next(starts)
-        order = list(range(k, len(jobs))) + list(range(k))
-        got = {i: shared.at(*jobs[i]) for i in order}
-        return [got[i] for i in range(len(jobs))]
-
-    assert race(work) == [expected] * 6
-
-
 def test_build_equation_is_safe_to_share_between_threads(tables5):
     # ``constant`` fills its memo lazily and serves a relation from its
     # dual's entry; threads racing on one fresh instance, over a job list

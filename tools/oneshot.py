@@ -133,6 +133,14 @@ def main(argv=None) -> int:
         parser.error("--tree takes NAME=SRC")
     specs = [(name, Path(src)) for name, _eq, src in specs] or [
         ("this", ROOT / "src")]
+    if args.runs < 1:
+        parser.error("--runs must be at least 1")
+    names = [name for name, _src in specs]
+    if len(set(names)) < len(names):
+        parser.error("each --tree needs its own NAME")
+    for name, src in specs:
+        if not (src / "gw24").is_dir():
+            parser.error(f"--tree {name}: {src} has no gw24 folder")
     with tempfile.TemporaryDirectory(prefix="gw24-oneshot-") as work:
         trees = [Tree(name, src, Path(work)) for name, src in specs]
         for tree in trees:
