@@ -101,6 +101,11 @@ def _render(store: InvariantStore, seed_set: SeedSet,
 
 def save_store(store: InvariantStore, path: str, seed_set: SeedSet,
                tool_version: str) -> None:
+    """Write the cache file of ``store`` to ``path``; ``ValueError``, and
+    no file, if the store is empty, whose header a load rejects."""
+    if not store.max_degree:
+        raise ValueError("an empty store has no cache file: its max_degree "
+                         "is 0")
     payload = _render(store, seed_set, tool_version)
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".gw24-cache-")

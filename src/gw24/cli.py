@@ -118,7 +118,8 @@ def _load_cache(cache_path: str, seed_set, sample_through: int):
     try:
         return load_store(cache_path, seed_set, sample_through=sample_through)
     except OSError as exc:
-        raise UsageError(f"cannot read cache file: {exc}") from exc
+        raise UsageError(f"cannot read cache file {cache_path!r}: "
+                         f"{exc.strerror or exc}") from exc
 
 
 def _check_at_a_point(store) -> None:
@@ -139,7 +140,8 @@ def _extend_cache(engine: Engine, cache_path: str, degree: int) -> None:
     try:
         save_store(engine.store, cache_path, engine.seed_set, __version__)
     except OSError as exc:
-        raise UsageError(f"cannot write cache file: {exc}") from exc
+        raise UsageError(f"cannot write cache file {cache_path!r}: "
+                         f"{exc.strerror or exc}") from exc
 
 
 def _engine_for(cache_path: str | None, reads: int) -> Engine:

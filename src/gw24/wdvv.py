@@ -93,14 +93,6 @@ def pascal_rows(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(map(pascal_row, range(n)))
 
 
-@lru_cache(maxsize=None)
-def pascal_diagonals(n: int) -> tuple[tuple[int, ...], ...]:
-    """The diagonals of ``pascal_rows(n)``: ``pascal_diagonals(n)[i][j] ==
-    comb(i + j, i)`` for i + j < n, the same ints."""
-    rows = pascal_rows(n)
-    return tuple(tuple(rows[i + j][i] for j in range(n - i)) for i in range(n))
-
-
 class PsiCalculator:
     """Degree-shifted views of the solved tables, and the quantum-times-
     quantum constants built from them.
@@ -130,7 +122,7 @@ class PsiCalculator:
     exact, which needs every value to be nonnegative.  A pair's series is
     its dual pair's with every line reversed (alpha and beta swapped), so
     each dual orbit is computed once.  Both kernels read the binomials from
-    ``pascal_rows``, ``series`` along its diagonals (``pascal_diagonals``).
+    ``pascal_rows``.
     ``constant`` takes a relation's constant from one ``at`` call and
     memoizes it per (family, target, degree), so the dual relation reads it
     instead of summing its own.  All are pure given the tables, and the
@@ -369,12 +361,10 @@ class PsiCalculator:
 
         For each d1, every packed line of the first factor meets every
         packed line of the second in one integer product, scaled by
-        comb(gamma, gamma1) comb(delta, delta1) comb(R, r1), three reads of
-        ``pascal_diagonals`` at the two lines' entries.  R is fixed by
-        (gamma, delta), so the accumulators are a list indexed by gamma k +
-        delta with k = 4 degree + 3, the sum of the two lines' codes
-        (gamma and delta stay below k), and each line's code is computed
-        once."""
+        comb(gamma, gamma1) comb(delta, delta1) comb(R, r1), read from the
+        ``pascal_rows`` of the output line's gamma, delta and R.  R is fixed
+        by (gamma, delta), so the accumulators are a list indexed by gamma
+        k + delta with k = 4 degree + 3 (gamma and delta stay below k)."""
         memo_key = (degree, sigma1, sigma2)
         cached = self._series.get(memo_key)
         if cached is not None:
@@ -386,7 +376,7 @@ class PsiCalculator:
             return out
         width = self.slot_width(degree)
         k = 4 * degree + 3
-        diag = pascal_diagonals(k)
+        rows = pascal_rows(k)
         # Slot alpha of accumulator gamma k + delta sums to comb(R, alpha)
         # * series(alpha, R - alpha, gamma, delta).
         acc = [0] * (k * k)
@@ -395,16 +385,13 @@ class PsiCalculator:
             if not lines1:
                 continue
             lines2 = self.packed_lines(degree - d1, sigma2, width)
-            codes2 = [g2 * k + e2 for g2, e2, _r2, _p in lines2]
             for g1, e1, r1, p1 in lines1:
-                code1 = g1 * k + e1
-                diag_g, diag_e, diag_r = diag[g1], diag[e1], diag[r1]
-                for code2, (g2, e2, r2, p2) in zip(codes2, lines2):
-                    acc[code1 + code2] += (
-                        diag_g[g2] * diag_e[e2] * diag_r[r2] * p1 * p2)
+                for g2, e2, r2, p2 in lines2:
+                    g, e = g1 + g2, e1 + e2
+                    acc[g * k + e] += (rows[g][g1] * rows[e][e1]
+                                       * rows[r1 + r2][r1] * p1 * p2)
         out = []
         mask = (1 << width) - 1
-        rows = pascal_rows(k)
         # a triple's shift weight is its codimension less 3
         for g, e, r in lines_of_weight(
                 4 * degree + 8 - sum(CODIM[c] for c in sigma1 + sigma2)):

@@ -594,6 +594,14 @@ def test_save_is_atomic_no_temp_left(engine3, tmp_path):
     assert [p.name for p in tmp_path.iterdir()] == ["store.gw24"]
 
 
+def test_empty_store_is_not_saved(tmp_path):
+    # its header would say max_degree 0, which a load rejects
+    with pytest.raises(ValueError):
+        save_store(InvariantStore(), str(tmp_path / "store.gw24"),
+                   Engine().seed_set, __version__)
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_failed_write_keeps_the_old_file(engine3, tmp_path, monkeypatch,
                                         capsys):
     path = tmp_path / "store.gw24"

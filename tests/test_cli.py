@@ -431,6 +431,7 @@ def test_cache_import_unreadable_path_usage_error(capsys, tmp_path):
                               str(path))
         assert code == 1
         assert err.startswith("usage error: cannot read cache file")
+        assert repr(str(path)) in err
         assert "Traceback" not in err
 
 
@@ -445,6 +446,8 @@ def test_cache_write_to_missing_directory_usage_error(capsys, tmp_path):
         assert code == 1, argv
         assert out == ""
         assert err.startswith("usage error: cannot write cache file"), argv
+        # the path that was given, not the temp file the write made
+        assert repr(path) in err and ".gw24-cache-" not in err, argv
         assert "Traceback" not in err
     assert not (tmp_path / "missing").exists()
 

@@ -195,8 +195,8 @@ def test_degree9_solve_heap_stays_small():
     # commits nothing, first fills the module's lru caches, and
     # gc.collect() empties the free lists, as in the exhaustive-check heap
     # test below, so the peak is the same run alone, in this file and in
-    # the whole suite: 2.15 MiB (Python 3.11.7).
-    # Unwarmed, it read 1.97 MiB alone and 1.84 MiB in the suite
+    # the whole suite: 2.15 MiB (Python 3.11.7).  Unwarmed, it reads
+    # 2.29 MiB alone
     eng = Engine()
     eng.solve_up_to(8)
     solve_values(eng.store.raw_tables(), 9, eng.seed_set)
@@ -990,11 +990,11 @@ def test_exhaustive_check_heap_stays_small(tables6):
     # each dual orbit's series are held from their first reader to their
     # last, a degree's packed lines until the degree is done, and the cross
     # terms' slices of the weight lines for one family at a time.  An
-    # untraced check first fills the module's lru caches (Pascal rows and
-    # diagonals, triple_info, the families, the key sets), and gc.collect()
-    # empties the interpreter's free lists, whose reused tuples tracemalloc
-    # does not see; so the peak is the same run alone, in this file and in
-    # the whole suite: 1.12 MiB (Python 3.11.7), against 1.30 MiB when
+    # untraced check first fills the module's lru caches (Pascal rows,
+    # triple_info, the families, the key sets), and gc.collect() empties
+    # the interpreter's free lists, whose reused tuples tracemalloc does
+    # not see; so the peak is the same run alone, in this file and in the
+    # whole suite: 1.07 MiB (Python 3.11.7), against 1.30 MiB when
     # series were dicts keyed by line and each family's lines were grouped
     # by key before they were summed.  Storing each (degree, triple)'s
     # slices as well peaked at 2.3 MiB, in an older, unwarmed measurement
