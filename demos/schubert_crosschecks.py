@@ -3,9 +3,10 @@
 The engine's classical ring is one table, the triple-intersection tensor
 over six classes (its T0 slice is the Poincare pairing), and a typo in it
 could hide forever.  This oracle recomputes everything from a different starting
-point: partitions in the 2x2 box with box-adding Pieri rules.  It also
-carries the quantum Pieri table for multiplication by the hyperplane class
-and the six seed counts with their consistency checks.
+point: partitions in the 2x2 box, multiplied by the Pieri rule (sigma_1 or
+sigma_2 adds a horizontal strip).  It also carries Bertram's quantum Pieri
+rule for multiplication by the hyperplane class, whose q-terms fix the
+scale of the six seed counts, and the seeds' consistency checks.
 
 Run:  python demos/schubert_crosschecks.py
 """

@@ -128,6 +128,8 @@ class InvariantStore:
         return self._raw
 
     def value(self, key: InvariantKey) -> int:
+        if min(key) < 0:
+            raise ValueError(f"key entries must be nonnegative: {key}")
         if not dimension_valid(key):
             return 0
         return self.raw_table(key.degree)[key[:4]]
@@ -334,11 +336,9 @@ class Engine:
                   degree: int) -> int:
         """N(alpha,beta,gamma,delta;degree); 0 for dimension-invalid keys."""
         key = InvariantKey(alpha, beta, gamma, delta, degree)
-        if min(key) < 0:
-            raise ValueError(f"key entries must be nonnegative: {key}")
-        if not dimension_valid(key):
-            return 0
-        self.solve_up_to(key.degree)
+        # the store rejects a negative entry and reads 0 off an invalid key
+        if min(key) >= 0 and dimension_valid(key):
+            self.solve_up_to(key.degree)
         return self.store.value(key)
 
     def q_number(self, degree: int) -> int:

@@ -1,11 +1,12 @@
 """Independent small-scale Schubert calculus for G(2,4).
 
 This module cross-checks the cohomology tables by a different route:
-partitions in the 2x2 box with Pieri rules, instead of the hard-wired
-tensor tables.  It holds the six degree-1 seeds, checked by the quantum
-Pieri q-terms (their scale) and the degree-1 associativity relations.  It
-is limited to G(2,4); generality is a non-goal.  Everything is a pure
-function over immutable tables.
+partitions in the 2x2 box multiplied by the Pieri rule (add a horizontal
+strip), instead of the hard-wired tensor tables.  It holds the six
+degree-1 seeds, checked by the q-terms of Bertram's quantum Pieri rule
+(their scale) and the degree-1 associativity relations.  It is limited to
+G(2,4); generality is a non-goal.  Everything is a pure function over
+immutable tables.
 
 Partition dictionary (bijection with the basis classes):
 
@@ -59,55 +60,27 @@ def _pad(lam: Partition) -> tuple[int, int]:
     return (lam + (0, 0))[:2]
 
 
-def _unpad(l1: int, l2: int) -> Partition:
-    # every caller has added a box, so l1 >= 1
-    return (l1, l2) if l2 > 0 else (l1,)
-
-
-def _add_one_box(lam: Partition) -> list[Partition]:
-    """Pieri for sigma_1: partitions obtained by adding one box, inside 2x2."""
+def _pieri(lam: Partition, k: int) -> list[Partition]:
+    """Pieri for sigma_k: the mu in the 2x2 box with mu/lam a horizontal strip
+    of k boxes, i.e. |mu| = |lam| + k and mu1 >= lam1 >= mu2 >= lam2."""
     l1, l2 = _pad(lam)
-    out = []
-    if l1 < 2:
-        out.append(_unpad(l1 + 1, l2))
-    if l2 < l1 and l2 < 2:
-        out.append(_unpad(l1, l2 + 1))
-    return out
-
-
-def _add_row_strip(lam: Partition) -> list[Partition]:
-    """Pieri for sigma_2: add a horizontal 2-strip, inside the 2x2 box."""
-    l1, l2 = _pad(lam)
-    out = []
-    # two boxes in the first row
-    if l1 + 2 <= 2:
-        out.append(_unpad(l1 + 2, l2))
-    # one box per row: needs columns to differ, i.e. l2+1 <= l1
-    if l1 + 1 <= 2 and l2 + 1 <= l1:
-        out.append(_unpad(l1 + 1, l2 + 1))
-    # two boxes in the second row: columns l2+1, l2+2 must sit under row one
-    if l2 + 2 <= l1:
-        out.append(_unpad(l1, l2 + 2))
-    return out
+    return [mu for mu in PARTITIONS
+            if sum(mu) == l1 + l2 + k and _pad(mu)[0] >= l1 >= _pad(mu)[1] >= l2]
 
 
 def classical_pieri(lam: Partition) -> ClassCombination:
     """sigma_1 * sigma_lam in the classical ring, expanded in the basis."""
     _check_partition(lam)
-    out: dict[Basis, int] = {}
-    for mu in _add_one_box(lam):
-        c = CLASS_OF_PARTITION[mu]
-        out[c] = out.get(c, 0) + 1
-    return ClassCombination(out)
+    return ClassCombination({CLASS_OF_PARTITION[mu]: 1 for mu in _pieri(lam, 1)})
 
 
 def _expand_monomial(lam: Partition, m: int, n: int) -> dict[Partition, int]:
     """Coefficients of sigma_lam * s1^m * s2^n by iterated Pieri expansion."""
     current = {lam: 1}
-    for rule in (_add_one_box,) * m + (_add_row_strip,) * n:
+    for k in (1,) * m + (2,) * n:
         step: dict[Partition, int] = {}
         for mu, coeff in current.items():
-            for nu in rule(mu):
+            for nu in _pieri(mu, k):
                 step[nu] = step.get(nu, 0) + coeff
         current = step
     return current
@@ -144,21 +117,19 @@ class QuantumClassCombination:
 def quantum_pieri(lam: Partition) -> QuantumClassCombination:
     """sigma_1 * sigma_lam in the small quantum ring of G(2,4).
 
-    Only the two top classes acquire q-corrections:
+    Bertram's quantum Pieri rule: the classical Pieri product, plus
+    q sigma_(lam2 - 1) when the first row is full (lam1 = 2) and lam2 >= 1.
+    So only the two top classes acquire q-terms:
     sigma_1 * sigma_(2,1) = sigma_(2,2) + q and sigma_1 * sigma_(2,2) =
     q sigma_(1).  The q-coefficients are pinned to the degree-1 pencil
     count I_1(T3, T4) = 1 through the divisor rule.
     """
-    _check_partition(lam)
-    if lam == (2, 1):
-        return QuantumClassCombination(
-            ClassCombination.of(Basis.T4), ClassCombination.of(Basis.T0)
-        )
-    if lam == (2, 2):
-        return QuantumClassCombination(
-            ClassCombination.zero(), ClassCombination.of(Basis.T1)
-        )
-    return QuantumClassCombination(classical_pieri(lam), ClassCombination.zero())
+    classical = classical_pieri(lam)
+    l1, l2 = _pad(lam)
+    if l1 < 2 or not l2:
+        return QuantumClassCombination(classical, ClassCombination.zero())
+    rest = CLASS_OF_PARTITION[(l2 - 1,) if l2 > 1 else ()]
+    return QuantumClassCombination(classical, ClassCombination.of(rest))
 
 
 # Degree-1 seed invariants.  Each is an elementary pencil count: a degree-1

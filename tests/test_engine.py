@@ -94,6 +94,20 @@ def test_invariant_rejects_negative_entries(engine4):
         engine4.invariant(-1, 0, 0, 0, 1)
 
 
+def test_store_rejects_a_key_with_a_negative_entry(engine4):
+    # weight 5 = 4*1 + 1, so the key passes the dimension test; the store
+    # names the bad entry before it looks anything up
+    key = InvariantKey(-1, 6, 0, 0, 1)
+    message = f"key entries must be nonnegative: {key}"
+    for owner in (engine4.store, InvariantStore()):
+        with pytest.raises(ValueError) as exc:
+            owner.value(key)
+        assert str(exc.value) == message
+    with pytest.raises(ValueError) as exc:
+        engine4.invariant(*key)
+    assert str(exc.value) == message
+
+
 def test_ruled_surface_degree(engine4):
     assert engine4.ruled_surface_degree(3) == (13608, False)
     assert engine4.ruled_surface_degree(4) == (66823680, False)

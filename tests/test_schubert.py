@@ -13,7 +13,8 @@ from gw24.schubert import (
     PARTITION_OF_CLASS,
     PARTITIONS,
     SeedTableError,
-    _add_row_strip,
+    _expand_monomial,
+    _pieri,
     classical_consistency_failures,
     classical_pieri,
     classical_triple_oracle,
@@ -48,7 +49,23 @@ def test_classical_pieri_examples():
 def test_row_strip_one_box_per_row():
     # sigma2 * sigma1 = sigma21: the strip puts one box in each row, the
     # only way for it to fit the 2x2 box
-    assert _add_row_strip((1,)) == [(2, 1)]
+    assert _pieri((1,), 2) == [(2, 1)]
+
+
+def test_both_pieri_products_of_every_partition():
+    # sigma1 * sigma_lam and sigma2 * sigma_lam, each term once
+    expected = {
+        (): ({(1,)}, {(2,)}),
+        (1,): ({(2,), (1, 1)}, {(2, 1)}),
+        (2,): ({(2, 1)}, {(2, 2)}),
+        (1, 1): ({(2, 1)}, set()),
+        (2, 1): ({(2, 2)}, set()),
+        (2, 2): (set(), set()),
+    }
+    assert set(expected) == set(PARTITIONS)
+    for lam, (by_s1, by_s2) in expected.items():
+        assert _expand_monomial(lam, 1, 0) == dict.fromkeys(by_s1, 1)
+        assert _expand_monomial(lam, 0, 1) == dict.fromkeys(by_s2, 1)
 
 
 def test_classical_pieri_stays_in_box():
